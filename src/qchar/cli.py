@@ -37,6 +37,7 @@ from .smallness import (
     check_small_empirical,
     classify,
     enumerate_dominant_below,
+    sweep,
     verify_counterexamples,
 )
 
@@ -70,10 +71,11 @@ def _add_common(p):
 
 
 def _budgets(args) -> Budgets:
-    fm = args.fm_steps if args.fm_steps else _env_default("QCHAR_FM_STEPS", DEFAULT_FM_STEPS)
-    pr = (args.process_steps if args.process_steps
+    fm = (args.fm_steps if args.fm_steps is not None
+          else _env_default("QCHAR_FM_STEPS", DEFAULT_FM_STEPS))
+    pr = (args.process_steps if args.process_steps is not None
           else _env_default("QCHAR_PROCESS_STEPS", DEFAULT_PROCESS_STEPS))
-    en = (args.enum_nodes if args.enum_nodes
+    en = (args.enum_nodes if args.enum_nodes is not None
           else _env_default("QCHAR_ENUM_NODES", DEFAULT_ENUM_NODES))
     for v in (fm, pr, en):
         if v <= 0:
@@ -230,13 +232,7 @@ def _cmd_verify_remarks(args):
 
 
 def _cmd_sweep(args):
-    diagrams = _parse_diagram_list(args.g)
-    b = _budgets(args)
-    cells = []
-    for c in diagrams:
-        for i in c.nodes:
-            for k in range(1, args.kmax + 1):
-                cells.append(check_small_empirical(c, i, k, args.r, b))
+    cells = sweep(_parse_diagram_list(args.g), args.kmax, args.r, _budgets(args))
     doc = {"schema": SCHEMA, "command": "sweep", "kmax": args.kmax,
            "cells": [cell.to_json() for cell in cells],
            "all_agree": all(cell.agree for cell in cells)}

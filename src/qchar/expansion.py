@@ -125,12 +125,9 @@ def expand_Li_steps(c: CartanData, m: Monomial, i) -> dict:
 
     combos = [({}, 1)]
     for c0 in sorted(classes):
-        restriction = sl2.Sl2Monomial(classes[c0])
-        char = sl2.simple_qchar_sl2(restriction)
-        opts = []
-        for mu, t in sorted(char.items(), key=lambda kv: kv[0].key):
-            steps = sl2.sl2_divide(mu, restriction)
-            opts.append(({(i, c0 + ri * p): x for p, x in steps.items()}, t))
+        char = sl2.simple_qchar_sl2(classes[c0])
+        opts = [({(i, c0 + ri * p): x for p, x in table}, t)
+                for table, t in sorted(char.items())]
         merged = []
         for s1, t1 in combos:
             for s2, t2 in opts:
@@ -352,20 +349,6 @@ class SpecialnessReport:
         return out
 
 
-def _certify_not_special(c, m, forced, steps, process_budget):
-    trace = generate_process(c, m, budget=process_budget, stop_on_dominant=True)
-    doms = trace.dominant_monomials()
-    if not doms:
-        return SpecialnessReport(
-            INCONCLUSIVE, m, steps=steps,
-            diagnostic=("closure forces dominant monomial "
-                        f"{format_monomial(forced)} but the generation process "
-                        "found no replayable witness within budget"))
-    witness = forced if forced in trace.chains else doms[0]
-    return SpecialnessReport(NOT_SPECIAL, m, witness=witness,
-                             chain=trace.chains[witness], steps=steps)
-
-
 def fm_algorithm(c: CartanData, m: Monomial,
                  budget: int = DEFAULT_FM_STEPS,
                  process_budget: int = DEFAULT_PROCESS_STEPS,
@@ -382,8 +365,30 @@ def fm_algorithm(c: CartanData, m: Monomial,
     A new monomial's multiplicity is the maximum of its forced
     multiplicities over the nodes.  A forced dominant monomial other than m
     refutes the single-dominant hypothesis and is certified via the
-    generation process.
+    generation process, witnessed by that monomial if the process reaches
+    it, else by the first dominant one it generates.  Every other
+    inconclusive exit (a spent budget or an inconsistent class) asks the
+    generation process for a second dominant monomial too, and reports
+    Inconclusive only if there is none.
     """
+    out = _fm_closure(c, m, budget, order_within_level)
+    if isinstance(out, SpecialnessReport):
+        return out
+    # the closure's state is released before the process runs
+    forced, steps, diagnostic = out
+    trace = generate_process(c, m, budget=process_budget, stop_on_dominant=True)
+    doms = trace.dominant_monomials()
+    if not doms:
+        return SpecialnessReport(INCONCLUSIVE, m, steps=steps,
+                                 diagnostic=diagnostic)
+    witness = forced if forced in trace.chains else doms[0]
+    return SpecialnessReport(NOT_SPECIAL, m, witness=witness,
+                             chain=trace.chains[witness], steps=steps)
+
+
+def _fm_closure(c, m, budget, order_within_level):
+    """The closure of ``fm_algorithm``: its consistent report, or the
+    (forced dominant or None, steps, diagnostic) of an inconclusive exit."""
     if not m.is_dominant():
         raise ValueError("the closure starts from a dominant monomial")
     mult = {m: 1}
@@ -405,8 +410,8 @@ def fm_algorithm(c: CartanData, m: Monomial,
             expand_cache[key] = ch
         return ch
 
-    def inconclusive(msg):
-        return SpecialnessReport(INCONCLUSIVE, m, steps=steps, diagnostic=msg)
+    def inconclusive(msg, dominant=None):
+        return dominant, steps, msg
 
     heap = [(0, tie_key(m), m)]
     while heap:
@@ -472,8 +477,10 @@ def fm_algorithm(c: CartanData, m: Monomial,
                 if old == 0:
                     heapq.heappush(heap, (wit[nu].total(), tie_key(nu), nu))
                     if nu != m and nu.is_dominant():
-                        return _certify_not_special(c, m, nu, steps,
-                                                    process_budget)
+                        return inconclusive(
+                            "closure forces dominant monomial "
+                            f"{format_monomial(nu)} but the generation process "
+                            "found no replayable witness within budget", nu)
 
     return SpecialnessReport(SPECIAL_FM_CONSISTENT, m,
                              qchar=QCharacter(mult, highest=m), steps=steps)

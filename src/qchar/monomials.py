@@ -142,10 +142,6 @@ def exponent_profile(m: Monomial, c: CartanData | None = None):
     return u, sums, omega
 
 
-def is_dominant(m: Monomial, nodes=None) -> bool:
-    return m.is_dominant(nodes)
-
-
 def is_right_negative(m: Monomial) -> bool:
     """True iff every exponent at the maximal active power is <= 0.
 

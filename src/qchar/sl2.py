@@ -1,105 +1,54 @@
-"""Closed-form rank-1 q-characters.
+"""Closed-form rank-1 q-characters as root-step tables.
 
-Everything here lives in a single-node lattice: variables Y_{q^r} are keyed
-by the integer r, the root monomial is A_p = Y_{p-1} Y_{p+1}, and the
-string X_{k,q^c} = Y_{q^{c+k-1}} Y_{q^{c+k-3}} ... Y_{q^{c+1-k}}.
+Everything here lives in a single-node lattice: a monomial is a plain dict
+power -> exponent of Y_{q^r}, the root monomial is A_p = Y_{p-1} Y_{p+1},
+and the string X_{k,q^c} = Y_{q^{c+k-1}} Y_{q^{c+k-3}} ... Y_{q^{c+1-k}}.
 
-Characters are plain dicts Sl2Monomial -> multiplicity.  The simple
-character of a dominant monomial is the product of string characters over
-its normal writing (a factorization into strings with no two factors in
-special position).
+The character of a module with highest monomial m lies in m Z[A^{-1}], so
+it is kept as a dict from root-step tables to multiplicities: a table is a
+sorted tuple of (power, count) pairs standing for m * prod A_{q^p}^{-count}.
+The simple character of a dominant monomial is the product of string
+characters over its normal writing (a factorization into strings with no
+two factors in special position); the tables add up as the factors
+multiply, so no division recovers them afterwards.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from .cartan import build_diagram
+from .monomials import Monomial, divide_as_a_product
+
+_A1 = build_diagram("A", 1)
 
 
-class Sl2Monomial:
-    """Sparse exponent map power -> nonzero integer, an immutable value."""
-
-    __slots__ = ("_e", "key", "_hash")
-
-    def __init__(self, exponents=None):
-        e = {r: v for r, v in (exponents or {}).items() if v}
-        self._e = e
-        self.key = tuple(sorted(e.items()))
-        self._hash = hash(self.key)
-
-    @classmethod
-    def y(cls, r, e=1):
-        return cls({r: e})
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return isinstance(other, Sl2Monomial) and self.key == other.key
-
-    def __mul__(self, other):
-        e = dict(self._e)
-        for r, v in other._e.items():
-            w = e.get(r, 0) + v
-            if w:
-                e[r] = w
-            else:
-                del e[r]
-        return Sl2Monomial(e)
-
-    def inverse(self):
-        return Sl2Monomial({r: -v for r, v in self._e.items()})
-
-    def u(self, r) -> int:
-        return self._e.get(r, 0)
-
-    def items(self):
-        return self.key
-
-    def is_identity(self) -> bool:
-        return not self._e
-
-    def is_dominant(self) -> bool:
-        return all(v >= 0 for v in self._e.values())
-
-    def __repr__(self):
-        if not self._e:
-            return "Sl2Monomial(1)"
-        body = " ".join(f"Y{r}" if v == 1 else f"Y{r}^{v}" for r, v in self.key)
-        return f"Sl2Monomial({body})"
-
-
-def a_inverse(p: int) -> Sl2Monomial:
-    """A_{q^p}^{-1} = Y_{q^{p-1}}^{-1} Y_{q^{p+1}}^{-1}."""
-    return Sl2Monomial({p - 1: -1, p + 1: -1})
-
-
-def string_monomial(k: int, c: int) -> Sl2Monomial:
-    """X_{k,q^c}: the length-k string centered at q^c."""
-    if k < 1:
-        raise ValueError("string length must be >= 1")
-    return Sl2Monomial({c + k - 1 - 2 * t: 1 for t in range(k)})
-
-
-@lru_cache(maxsize=None)
-def _kr_qchar_at_zero(k: int):
-    m = string_monomial(k, 0)
-    terms = {m: 1}
-    for t in range(k):
-        m = m * a_inverse(k - 2 * t)
-        terms[m] = 1
-    return terms
-
-
-def shift(m: Sl2Monomial, c: int) -> Sl2Monomial:
-    return Sl2Monomial({r + c: v for r, v in m.items()})
+def _product(chars) -> dict:
+    """Product of step-keyed characters: tables add, multiplicities multiply."""
+    out = {(): 1}
+    for char in chars:
+        nxt = {}
+        for s1, t1 in out.items():
+            for s2, t2 in char.items():
+                e = dict(s1)
+                for p, x in s2:
+                    e[p] = e.get(p, 0) + x
+                s = tuple(sorted(e.items()))
+                nxt[s] = nxt.get(s, 0) + t1 * t2
+        out = nxt
+    return out
 
 
 def kr_qchar_sl2(k: int, c: int) -> dict:
-    """Character of the simple string module: the nested k+1 term formula
+    """Character of the simple string module X_{k,q^c}: the nested k+1 term
+    formula
 
-    X_{k,q^c} (1 + A_{q^{c+k}}^{-1} (1 + A_{q^{c+k-2}}^{-1} (... )))
+    X_{k,q^c} (1 + A_{q^{c+k}}^{-1} (1 + A_{q^{c+k-2}}^{-1} (... ))),
+
+    whose tables are the prefixes of A_{c+k}, A_{c+k-2}, ..., A_{c-k+2}.
     """
-    return {shift(m, c): 1 for m in _kr_qchar_at_zero(k)}
+    if k < 1:
+        raise ValueError("string length must be >= 1")
+    return {tuple((c + k - 2 * t, 1) for t in range(n - 1, -1, -1)): 1
+            for n in range(k + 1)}
 
 
 def standard_qchar_sl2(k: int, c: int) -> dict:
@@ -108,15 +57,9 @@ def standard_qchar_sl2(k: int, c: int) -> dict:
     X_{k,q^c} prod_{t=0..k-1} (1 + A_{q^{c+k-2t}}^{-1}), expanded with
     multiplicity.  All 2^k products are pairwise distinct.
     """
-    terms = {string_monomial(k, c): 1}
-    for t in range(k):
-        step = a_inverse(c + k - 2 * t)
-        out = dict(terms)
-        for m, mult in terms.items():
-            mm = m * step
-            out[mm] = out.get(mm, 0) + mult
-        terms = out
-    return terms
+    if k < 1:
+        raise ValueError("string length must be >= 1")
+    return _product(kr_qchar_sl2(1, c + k - 1 - 2 * t) for t in range(k))
 
 
 def in_special_position(k1: int, c1: int, k2: int, c2: int) -> bool:
@@ -130,115 +73,42 @@ def in_special_position(k1: int, c1: int, k2: int, c2: int) -> bool:
     return merged != s1 and merged != s2
 
 
-class NormalWriting:
-    """A multiset of string factors (k, c), no two in special position."""
-
-    __slots__ = ("factors",)
-
-    def __init__(self, factors):
-        self.factors = tuple(sorted(factors))
-
-    def monomial(self) -> Sl2Monomial:
-        m = Sl2Monomial()
-        for k, c in self.factors:
-            m = m * string_monomial(k, c)
-        return m
-
-    def __eq__(self, other):
-        return isinstance(other, NormalWriting) and self.factors == other.factors
-
-    def __repr__(self):
-        return f"NormalWriting({list(self.factors)!r})"
-
-
-def normal_writing(m: Sl2Monomial) -> NormalWriting:
-    """Factor a dominant monomial into strings, greedily from the top.
+def normal_writing(m: dict) -> tuple:
+    """Factor a dominant monomial into strings (k, c), greedily from the top.
 
     Repeatedly peel the maximal string downward from the highest active
-    power, then merge special-position pairs until stable (greedy peeling
-    already avoids them; the merge pass keeps the invariant explicit).
-    The result is deterministic and independent of exponent-map ordering.
+    power.  Greedy peeling leaves no two factors in special position.  The
+    sorted result is independent of exponent-map ordering.
     """
-    if not m.is_dominant():
+    if any(v < 0 for v in m.values()):
         raise ValueError(f"normal writing needs a dominant monomial, got {m!r}")
-    work = {r: v for r, v in m.items()}
+    work = {r: v for r, v in m.items() if v}
     factors = []
     while work:
         top = max(work)
         p = top
-        while p in work and work[p] > 0:
+        while work.get(p, 0) > 0:
             work[p] -= 1
             if work[p] == 0:
                 del work[p]
             p -= 2
         lo = p + 2
         factors.append(((top - lo) // 2 + 1, (top + lo) // 2))
-
-    changed = True
-    while changed:
-        changed = False
-        for a in range(len(factors)):
-            for b in range(a + 1, len(factors)):
-                k1, c1 = factors[a]
-                k2, c2 = factors[b]
-                if not in_special_position(k1, c1, k2, c2):
-                    continue
-                s1 = {c1 + k1 - 1 - 2 * t for t in range(k1)}
-                s2 = {c2 + k2 - 1 - 2 * t for t in range(k2)}
-                union, inter = s1 | s2, s1 & s2
-                repl = [((max(union) - min(union)) // 2 + 1,
-                         (max(union) + min(union)) // 2)]
-                if inter:
-                    repl.append(((max(inter) - min(inter)) // 2 + 1,
-                                 (max(inter) + min(inter)) // 2))
-                factors = [f for idx, f in enumerate(factors) if idx not in (a, b)]
-                factors.extend(repl)
-                changed = True
-                break
-            if changed:
-                break
-    return NormalWriting(factors)
+    return tuple(sorted(factors))
 
 
-def multiply_chars(x: dict, y: dict) -> dict:
-    out = {}
-    for m1, t1 in x.items():
-        for m2, t2 in y.items():
-            mm = m1 * m2
-            out[mm] = out.get(mm, 0) + t1 * t2
-    return out
-
-
-def simple_qchar_sl2(m: Sl2Monomial) -> dict:
+def simple_qchar_sl2(m: dict) -> dict:
     """Character of the simple module with highest monomial m (m dominant):
     the product of string characters over a normal writing of m.
     """
-    out = {Sl2Monomial(): 1}
-    for k, c in normal_writing(m).factors:
-        out = multiply_chars(out, kr_qchar_sl2(k, c))
-    return out
+    return _product(kr_qchar_sl2(k, c) for k, c in normal_writing(m))
 
 
-def sl2_divide(target: Sl2Monomial, source: Sl2Monomial):
+def sl2_divide(target: dict, source: dict):
     """Solve target = source * prod A_{q^p}^{-v_p}, v >= 0; None if impossible.
 
-    Rank-1 instance of the triangular elimination: the top active power of
-    the ratio forces v at the power just below it.
+    ``divide_as_a_product`` on the one-node diagram A1.
     """
-    work = dict((target * source.inverse())._e)
-    if not work:
-        return {}
-    floor = min(work)
-    v = {}
-    while work:
-        top = max(work)
-        e = work.pop(top)
-        if e > 0 or top - 1 < floor:
-            return None
-        v[top - 1] = v.get(top - 1, 0) - e
-        w = work.get(top - 2, 0) - e
-        if w:
-            work[top - 2] = w
-        else:
-            work.pop(top - 2, None)
-    return v
+    w = divide_as_a_product(_A1, Monomial({(1, r): e for r, e in target.items()}),
+                            Monomial({(1, r): e for r, e in source.items()}))
+    return None if w is None else {p: x for (_, p), x in w.items()}

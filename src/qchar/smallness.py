@@ -24,7 +24,6 @@ from .expansion import (
     DEFAULT_PROCESS_STEPS,
     INCONCLUSIVE,
     NOT_SPECIAL,
-    SpecialnessReport,
     fm_algorithm,
     generate_process,
 )
@@ -265,8 +264,7 @@ def check_small_empirical(c: CartanData, i, k: int, r: int,
     Enumerates the dominant monomials below the string, runs the closure on
     each, and combines: a certified second dominant monomial anywhere means
     NotSmall; all closures consistent (and the enumeration complete) means
-    Small; anything unresolved leaves the cell Undetermined.  Inconclusive
-    closures get a direct generation-process attempt before giving up.
+    Small; anything unresolved leaves the cell Undetermined.
     """
     theoretical = classify(c, i, k)
     enum = enumerate_dominant_below(c, i, k, r, budget=budgets.enum_nodes)
@@ -275,16 +273,6 @@ def check_small_empirical(c: CartanData, i, k: int, r: int,
     for m, _w in enum.entries:
         rep = fm_algorithm(c, m, budget=budgets.fm_steps,
                            process_budget=budgets.process_steps)
-        if rep.verdict == INCONCLUSIVE:
-            trace = generate_process(c, m, budget=budgets.process_steps,
-                                     stop_on_dominant=True)
-            doms = trace.dominant_monomials()
-            if doms:
-                rep = SpecialnessReport(
-                    NOT_SPECIAL, m, witness=doms[0], chain=trace.chains[doms[0]],
-                    steps=rep.steps,
-                    diagnostic="closure inconclusive; generation process "
-                               "found a second dominant monomial")
         record.reports[m] = rep
         if rep.verdict == NOT_SPECIAL:
             record.not_special.append(m)

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from qchar.cli import main
 from qchar.expansion import QCharacter
 from qchar.monomials import monomial_from_json, parse_monomial
@@ -93,6 +95,12 @@ def test_budget_exhaustion_exit_4(capsys):
                        "--fm-steps", "2")
     assert code == 4
     assert out.splitlines()[0] == "Inconclusive"
+
+
+@pytest.mark.parametrize("flag", ["--fm-steps", "--process-steps", "--enum-nodes"])
+def test_zero_budget_flag_exit_2(capsys, flag):
+    code, _, err = run(capsys, "qchar", "--g", "A2", "1_0", flag, "0")
+    assert code == 2 and "budgets must be positive" in err
 
 
 def test_env_budget_override(capsys, monkeypatch):

@@ -3,6 +3,7 @@ import pytest
 from qchar import sl2
 from qchar.cartan import build_diagram
 from qchar.expansion import (
+    DEFAULT_FM_STEPS,
     INCONCLUSIVE,
     NOT_SPECIAL,
     SPECIAL_FM_CONSISTENT,
@@ -13,6 +14,7 @@ from qchar.expansion import (
     qchar_is_thin,
 )
 from qchar.monomials import (
+    AWitness,
     Monomial,
     a_monomial,
     divide_as_a_product,
@@ -61,6 +63,16 @@ def test_expand_requires_node_dominance():
     assert expand_Li(A3, m, 1).multiplicity(m) == 1
 
 
+def _rank1(powers):
+    """A node's power -> exponent map as a monomial on A1."""
+    return Monomial({(1, p): e for p, e in powers.items()})
+
+
+def _rank1_steps(table, highest):
+    """highest * prod A_{1,q^p}^{-count} for a rank-1 step table."""
+    return AWitness({(1, p): x for p, x in table}).apply(A1, highest)
+
+
 def test_expand_matches_rank1_restriction():
     # restriction of the expansion to the node recovers the rank-1 character
     cases = [(A3, parse_monomial("2_0 2_2^2 2_6 1_3"), 2),
@@ -70,9 +82,12 @@ def test_expand_matches_rank1_restriction():
         char = expand_Li(c, m, i)
         got = {}
         for mu, t in char.terms.items():
-            restr = sl2.Sl2Monomial(mu.node_powers(i))
+            restr = _rank1(mu.node_powers(i))
             got[restr] = got.get(restr, 0) + t
-        expected = sl2.simple_qchar_sl2(sl2.Sl2Monomial(m.node_powers(i)))
+        expected = {}
+        for table, t in sl2.simple_qchar_sl2(m.node_powers(i)).items():
+            restr = _rank1_steps(table, _rank1(m.node_powers(i)))
+            expected[restr] = expected.get(restr, 0) + t
         assert got == expected
 
 
@@ -148,20 +163,21 @@ def test_fm_rank1_closed_forms():
         X = kr_highest(A1, 1, k, 0)
         rep = fm_algorithm(A1, X)
         assert rep.verdict == SPECIAL_FM_CONSISTENT
-        got = {sl2.Sl2Monomial(m.node_powers(1)): t
-               for m, t in rep.qchar.terms.items()}
-        assert got == sl2.kr_qchar_sl2(k, 0)
+        assert rep.qchar.terms == {_rank1_steps(table, X): t
+                                   for table, t in sl2.kr_qchar_sl2(k, 0).items()}
 
 
 def test_fm_counter_not_special():
-    rep = fm_algorithm(A3, parse_monomial("1_1 3_1 2_4"))
-    assert rep.verdict == NOT_SPECIAL
-    assert rep.witness == parse_monomial("2_2")
-    assert rep.witness.is_dominant()
-    assert rep.chain
-    # the chain ends at the witness and starts at the subject
-    assert rep.chain[-1].result == rep.witness
-    assert rep.chain[0].root == rep.subject
+    # a closure stopped by its budget is certified through the process too
+    for budget in (DEFAULT_FM_STEPS, 2):
+        rep = fm_algorithm(A3, parse_monomial("1_1 3_1 2_4"), budget=budget)
+        assert rep.verdict == NOT_SPECIAL
+        assert rep.witness == parse_monomial("2_2")
+        assert rep.witness.is_dominant()
+        assert rep.chain
+        # the chain ends at the witness and starts at the subject
+        assert rep.chain[-1].result == rep.witness
+        assert rep.chain[0].root == rep.subject
 
 
 def test_fm_budget_inconclusive():

@@ -1,69 +1,103 @@
 import random
+from itertools import combinations
 
 import pytest
 
+from qchar.cartan import build_diagram
+from qchar.monomials import AWitness, Monomial, a_monomial, kr_highest
 from qchar.sl2 import (
-    Sl2Monomial,
-    a_inverse,
     in_special_position,
     kr_qchar_sl2,
     normal_writing,
     simple_qchar_sl2,
     sl2_divide,
     standard_qchar_sl2,
-    string_monomial,
 )
+
+A1 = build_diagram("A", 1)
 
 
 def Y(*pairs):
+    """Rank-1 monomial as a power -> exponent dict."""
     e = {}
     for r, v in pairs:
         e[r] = e.get(r, 0) + v
-    return Sl2Monomial(e)
+    return {r: v for r, v in e.items() if v}
+
+
+def _lift(e):
+    return Monomial({(1, r): v for r, v in e.items()})
+
+
+def _string(k, c):
+    return kr_highest(A1, 1, k, c).node_powers(1)
+
+
+def _apply(table, highest):
+    """The monomial highest * prod A_{q^p}^{-count} named by a step table."""
+    return AWitness({(1, p): x for p, x in table}).apply(A1, highest)
+
+
+def _monomials(char, highest):
+    """A step-keyed character as Monomial -> multiplicity on A1."""
+    out = {}
+    for table, t in char.items():
+        mu = _apply(table, highest)
+        out[mu] = out.get(mu, 0) + t
+    return out
+
+
+def _a_inv(p):
+    return a_monomial(A1, 1, p) ** -1
 
 
 def _nested_oracle(k, c):
     """Expand the nested product X (1 + A^{-1} (1 + A^{-1} (...))) literally."""
-    inner = {Sl2Monomial(): 1}
+    inner = {Monomial(): 1}
     for t in range(k - 1, -1, -1):  # innermost factor first
-        step = a_inverse(c + k - 2 * t)
-        out = {Sl2Monomial(): 1}
+        step = _a_inv(c + k - 2 * t)
+        out = {Monomial(): 1}
         for m, mult in inner.items():
             mm = m * step
             out[mm] = out.get(mm, 0) + mult
         inner = out
-    x = string_monomial(k, c)
+    x = kr_highest(A1, 1, k, c)
     return {x * m: mult for m, mult in inner.items()}
 
 
 def test_kr_qchar_small_cases():
-    assert kr_qchar_sl2(1, 0) == {Y((0, 1)): 1, Y((2, -1)): 1}
-    assert kr_qchar_sl2(2, 0) == {
-        Y((-1, 1), (1, 1)): 1,
-        Y((-1, 1), (3, -1)): 1,
-        Y((1, -1), (3, -1)): 1,
+    assert kr_qchar_sl2(1, 0) == {(): 1, ((1, 1),): 1}
+    assert _monomials(kr_qchar_sl2(1, 0), _lift(Y((0, 1)))) == {
+        _lift(Y((0, 1))): 1, _lift(Y((2, -1))): 1}
+    assert _monomials(kr_qchar_sl2(2, 0), _lift(Y((-1, 1), (1, 1)))) == {
+        _lift(Y((-1, 1), (1, 1))): 1,
+        _lift(Y((-1, 1), (3, -1))): 1,
+        _lift(Y((1, -1), (3, -1))): 1,
     }
+    with pytest.raises(ValueError):
+        kr_qchar_sl2(0, 0)
 
 
 @pytest.mark.parametrize("k", range(1, 11))
 def test_kr_qchar_matches_nested_oracle(k):
     for c in (0, -3, 5):
         got = kr_qchar_sl2(k, c)
-        assert got == _nested_oracle(k, c)
+        x = kr_highest(A1, 1, k, c)
+        mons = _monomials(got, x)
+        assert mons == _nested_oracle(k, c)
         assert len(got) == k + 1
         assert all(t == 1 for t in got.values())
-        doms = [m for m in got if m.is_dominant()]
-        assert doms == [string_monomial(k, c)]
+        doms = [m for m in mons if m.is_dominant()]
+        assert doms == [x]
 
 
 def _subset_oracle(k, c):
     """Independent expansion of X prod (1 + A^{-1}) over explicit subsets."""
-    from itertools import combinations
-    steps = [a_inverse(c + k - 2 * t) for t in range(k)]
+    steps = [_a_inv(c + k - 2 * t) for t in range(k)]
     out = {}
     for size in range(k + 1):
         for combo in combinations(range(k), size):
-            m = string_monomial(k, c)
+            m = kr_highest(A1, 1, k, c)
             for t in combo:
                 m = m * steps[t]
             out[m] = out.get(m, 0) + 1
@@ -74,7 +108,7 @@ def test_standard_qchar():
     assert standard_qchar_sl2(1, 0) == kr_qchar_sl2(1, 0)
     for k in (2, 3, 4):
         got = standard_qchar_sl2(k, 0)
-        assert got == _subset_oracle(k, 0)
+        assert _monomials(got, kr_highest(A1, 1, k, 0)) == _subset_oracle(k, 0)
         assert len(got) == 2 ** k
         assert all(t == 1 for t in got.values())
 
@@ -83,7 +117,7 @@ def test_standard_dominates_kr():
     for k in (2, 3, 5):
         kr = kr_qchar_sl2(k, 0)
         std = standard_qchar_sl2(k, 0)
-        assert all(std.get(m, 0) >= t for m, t in kr.items())
+        assert all(std.get(s, 0) >= t for s, t in kr.items())
         assert std != kr
 
 
@@ -97,11 +131,11 @@ def test_special_position():
 
 
 def test_normal_writing_examples():
-    assert normal_writing(string_monomial(4, 6)).factors == ((4, 6),)
-    assert normal_writing(Y((0, 1), (2, 1))).factors == ((2, 1),)
-    assert normal_writing(Y((0, 1), (6, 1))).factors == ((1, 0), (1, 6))
+    assert normal_writing(_string(4, 6)) == ((4, 6),)
+    assert normal_writing(Y((0, 1), (2, 1))) == ((2, 1),)
+    assert normal_writing(Y((0, 1), (6, 1))) == ((1, 0), (1, 6))
     # overlapping content splits into nested strings
-    assert normal_writing(Y((0, 1), (2, 2), (4, 1))).factors == ((1, 2), (3, 2))
+    assert normal_writing(Y((0, 1), (2, 2), (4, 1))) == ((1, 2), (3, 2))
     with pytest.raises(ValueError):
         normal_writing(Y((0, -1)))
 
@@ -113,32 +147,32 @@ def test_normal_writing_properties():
         for _ in range(rng.randint(1, 6)):
             r = rng.randint(-6, 6)
             e[r] = e.get(r, 0) + rng.randint(1, 3)
-        m = Sl2Monomial(e)
-        nw = normal_writing(m)
-        assert nw.monomial() == m
-        fs = nw.factors
-        for a in range(len(fs)):
-            for b in range(a + 1, len(fs)):
-                assert not in_special_position(*fs[a], *fs[b])
+        nw = normal_writing(e)
+        product = Monomial()
+        for k, c in nw:
+            product = product * kr_highest(A1, 1, k, c)
+        assert product == _lift(e)
+        for a in range(len(nw)):
+            for b in range(a + 1, len(nw)):
+                assert not in_special_position(*nw[a], *nw[b])
         # insertion order of the exponent map must not matter
         shuffled = list(e.items())
         rng.shuffle(shuffled)
-        assert normal_writing(Sl2Monomial(dict(shuffled))) == nw
+        assert normal_writing(dict(shuffled)) == nw
 
 
 def test_simple_qchar():
-    m = string_monomial(3, -1)
-    assert simple_qchar_sl2(m) == kr_qchar_sl2(3, -1)
+    assert simple_qchar_sl2(_string(3, -1)) == kr_qchar_sl2(3, -1)
     two_fund = Y((0, 1), (6, 1))
     char = simple_qchar_sl2(two_fund)
     assert len(char) == 4
-    assert char == {
-        Y((0, 1), (6, 1)): 1,
-        Y((0, 1), (8, -1)): 1,
-        Y((2, -1), (6, 1)): 1,
-        Y((2, -1), (8, -1)): 1,
+    assert _monomials(char, _lift(two_fund)) == {
+        _lift(Y((0, 1), (6, 1))): 1,
+        _lift(Y((0, 1), (8, -1))): 1,
+        _lift(Y((2, -1), (6, 1))): 1,
+        _lift(Y((2, -1), (8, -1))): 1,
     }
-    assert char[two_fund] == 1
+    assert char[()] == 1
 
 
 def test_simple_qchar_highest_and_cone():
@@ -148,17 +182,16 @@ def test_simple_qchar_highest_and_cone():
         for _ in range(rng.randint(1, 4)):
             r = rng.randint(-5, 5)
             e[r] = e.get(r, 0) + rng.randint(1, 2)
-        m = Sl2Monomial(e)
-        char = simple_qchar_sl2(m)
-        assert char[m] == 1
-        for mu in char:
-            steps = sl2_divide(mu, m)
-            assert steps is not None
-            assert all(v >= 0 for v in steps.values())
+        char = simple_qchar_sl2(e)
+        assert char[()] == 1
+        for table in char:
+            assert all(x > 0 for _, x in table)
+            mu = _apply(table, _lift(e)).node_powers(1)
+            assert sl2_divide(mu, e) == dict(table)
 
 
 def test_sl2_divide():
-    x = string_monomial(2, 0)
+    x = _string(2, 0)
     assert sl2_divide(x, x) == {}
     assert sl2_divide(Y((-1, 1), (3, -1)), x) == {2: 1}
     assert sl2_divide(Y((1, -1), (3, -1)), x) == {2: 1, 0: 1}
