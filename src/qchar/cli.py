@@ -141,9 +141,47 @@ def _parse_diagram_list(spec):
     return out
 
 
+def _json_text(doc) -> str:
+    """``json.dumps(doc, indent=2)``, byte for byte, without its slow path.
+
+    With ``indent`` set, CPython renders through its pure-Python encoder.
+    Here containers are joined directly, scalars go through ``json.dumps``
+    and strings through the C escaper; a dict of plain ints (a monomial or
+    witness entry) is rendered once per depth and reused.
+    """
+    enc = json.encoder.encode_basestring_ascii
+    memo = {}
+
+    def block(opening, closing, items, pad):
+        if not items:
+            return opening + closing
+        inner = "\n" + pad + "  "
+        return opening + inner + ("," + inner).join(items) + "\n" + pad + closing
+
+    def text(v, pad):
+        if isinstance(v, dict):
+            if v and all(type(x) is int for x in v.values()):
+                key = (pad, tuple(v.items()))
+                out = memo.get(key)
+                if out is None:
+                    out = memo[key] = block(
+                        "{", "}", [f"{enc(k)}: {json.dumps(x)}" for k, x in v.items()],
+                        pad)
+                return out
+            inner = pad + "  "
+            return block("{", "}", [f"{enc(k)}: {text(x, inner)}"
+                                    for k, x in v.items()], pad)
+        if isinstance(v, (list, tuple)):
+            inner = pad + "  "
+            return block("[", "]", [text(x, inner) for x in v], pad)
+        return enc(v) if isinstance(v, str) else json.dumps(v)
+
+    return text(doc, "")
+
+
 def _emit(doc, args, text_lines):
     if args.format == "json":
-        print(json.dumps(doc, indent=2))
+        print(_json_text(doc))
     else:
         for line in text_lines:
             print(line)

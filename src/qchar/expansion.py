@@ -19,10 +19,15 @@ by class (a class is an orbit of one node's root lattice) by greedily
 decomposing the settled class content into rank-1 simple characters from
 the top.  Forcing a second dominant monomial refutes the assumption; the
 refutation is then certified with a generation-process chain.
+
+The closure, the generation process and chain replay expand through one
+``_Expander`` per run, which calls ``expand_Li_steps`` once per shape (a
+node restriction up to a shift by a multiple of r_i).
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 from dataclasses import dataclass, field
 
@@ -156,6 +161,66 @@ def expand_Li(c: CartanData, m: Monomial, i) -> QCharacter:
                       highest=m)
 
 
+class _Expander:
+    """Node-i expansions on one diagram, computed once per shape.
+
+    ``expand_Li_steps`` reads a root only through its node-i restriction,
+    and shifting that restriction by a multiple of r_i shifts every step
+    table and every root-step product by the same amount.  A restriction's
+    shape is the restriction shifted down by ``base = r_i * (min power //
+    r_i)``.  The first restriction of a shape is expanded once, as a bare
+    node-i monomial, into templates ``(delta, multiplicity, step table)``
+    with ``result = root * delta``; any other restriction of that shape
+    gets them shifted by the difference of the bases.  Each restriction
+    keeps its templates, so a call costs one product per result other than
+    the root itself and builds no root monomial.
+    """
+
+    __slots__ = ("c", "_shapes", "_exact")
+
+    def __init__(self, c: CartanData):
+        self.c = c
+        self._shapes = {}  # (i, shape) -> (base, templates) of its first restriction
+        self._exact = {}  # (i, restriction) -> templates
+
+    def _templates(self, root: Monomial, i) -> list:
+        key = (i, tuple((r, e) for (j, r), e in root.key if j == i))
+        tpl = self._exact.get(key)
+        if tpl is None:
+            restr = key[1]
+            if any(e < 0 for _, e in restr):
+                raise ValueError(
+                    f"monomial {format_monomial(root)} is not {i}-dominant")
+            ri = self.c.r(i)
+            base = ri * (restr[0][0] // ri) if restr else 0
+            shape = (i, tuple((r - base, e) for r, e in restr))
+            first = self._shapes.get(shape)
+            if first is None:
+                bare = Monomial({(i, r): e for r, e in restr})
+                inv = bare.inverse()
+                tpl = [(mm * inv, t, steps) for mm, (t, steps)
+                       in expand_Li_steps(self.c, bare, i).items()]
+                self._shapes[shape] = (base, tpl)
+            else:
+                d = base - first[0]
+                tpl = [(Monomial({(j, r + d): e for (j, r), e in delta.key}), t,
+                        {(j, p + d): x for (j, p), x in steps.items()})
+                       for delta, t, steps in first[1]]
+            self._exact[key] = tpl
+        return tpl
+
+    def results(self, root: Monomial, i):
+        """``(monomial, multiplicity, step table)`` of each result of the
+        node-i expansion of ``root``, in the order of ``expand_Li_steps``."""
+        for delta, t, steps in self._templates(root, i):
+            yield (root * delta if steps else root), t, steps
+
+    def occurs(self, root: Monomial, i, nu: Monomial) -> bool:
+        """Whether ``nu`` occurs in the node-i expansion of ``root``."""
+        ratio = nu * root.inverse()
+        return any(delta == ratio for delta, _, _ in self._templates(root, i))
+
+
 def _witness_plus(w: AWitness, steps: dict) -> AWitness:
     v = dict(w.v)
     for k, x in steps.items():
@@ -202,18 +267,13 @@ class GenerationTrace:
     def replay(self, c: CartanData) -> bool:
         """Re-run every chain: each root must be node-dominant and each
         result must occur in the recorded expansion."""
-        cache = {}
+        ex = _Expander(c)
         for m, chain in self.chains.items():
             cur = self.start
             for step in chain:
                 if step.root != cur or not step.root.is_dominant([step.node]):
                     return False
-                key = (step.root, step.node)
-                ch = cache.get(key)
-                if ch is None:
-                    ch = expand_Li(c, step.root, step.node)
-                    cache[key] = ch
-                if step.result not in ch:
+                if not ex.occurs(step.root, step.node, step.result):
                     return False
                 cur = step.result
             if cur != m:
@@ -238,7 +298,8 @@ def _cross_key(w: AWitness, i):
 
 def generate_process(c: CartanData, m: Monomial,
                      budget: int = DEFAULT_PROCESS_STEPS,
-                     stop_on_dominant: bool = False) -> GenerationTrace:
+                     stop_on_dominant: bool = False,
+                     *, _expander: _Expander | None = None) -> GenerationTrace:
     """Closure of {m} under admissible single-node expansions.
 
     A generated monomial m' may be expanded at node i when it is i-dominant
@@ -246,29 +307,22 @@ def generate_process(c: CartanData, m: Monomial,
     node-i expansion (checked against the set generated so far; each chain
     step records that the check held when taken).  Work proceeds in
     ascending order of the witness total against m, ties broken by the
-    canonical encoding, so runs are reproducible.
+    canonical encoding, so runs are reproducible.  ``_expander`` lets
+    ``fm_algorithm`` hand over the expansions its closure already made.
     """
     if not m.is_dominant():
         raise ValueError("generation starts from a dominant monomial")
+    ex = _expander or _Expander(c)
     chains = {m: ()}
     wit = {m: AWitness({})}
     orbits = {i: {} for i in c.nodes}  # cross-key -> [monomial]
     for i in c.nodes:
         orbits[i].setdefault(_cross_key(wit[m], i), []).append(m)
-    expand_cache = {}
     heap = [(0, m.key, m)]
     done = set()
     steps = 0
     partial = False
     stop = False
-
-    def expansion(root, i):
-        key = (root, i)
-        ch = expand_cache.get(key)
-        if ch is None:
-            ch = expand_Li_steps(c, root, i)
-            expand_cache[key] = ch
-        return ch
 
     def blocked(mu, i):
         w_mu = wit[mu]
@@ -282,7 +336,7 @@ def generate_process(c: CartanData, m: Monomial,
                 continue
             if not other.is_dominant([i]):
                 continue
-            if mu in expansion(other, i):
+            if ex.occurs(other, i, mu):
                 return True
         return False
 
@@ -301,12 +355,12 @@ def generate_process(c: CartanData, m: Monomial,
                 stop = True
                 break
             steps += 1
-            char = expansion(mu, i)
-            for nu in sorted(char, key=lambda x: x.key):
+            for nu, _, steps_tbl in sorted(ex.results(mu, i),
+                                           key=lambda r: r[0].key):
                 if nu in chains:
                     continue
                 chains[nu] = chains[mu] + (TraceStep(i, mu, nu),)
-                w = _witness_plus(wit[mu], char[nu][1])
+                w = _witness_plus(wit[mu], steps_tbl)
                 wit[nu] = w
                 for j in c.nodes:
                     orbits[j].setdefault(_cross_key(w, j), []).append(nu)
@@ -371,12 +425,14 @@ def fm_algorithm(c: CartanData, m: Monomial,
     generation process for a second dominant monomial too, and reports
     Inconclusive only if there is none.
     """
-    out = _fm_closure(c, m, budget, order_within_level)
+    ex = _Expander(c)
+    out = _fm_closure(c, m, budget, order_within_level, ex)
     if isinstance(out, SpecialnessReport):
         return out
     # the closure's state is released before the process runs
     forced, steps, diagnostic = out
-    trace = generate_process(c, m, budget=process_budget, stop_on_dominant=True)
+    trace = generate_process(c, m, budget=process_budget, stop_on_dominant=True,
+                             _expander=ex)
     doms = trace.dominant_monomials()
     if not doms:
         return SpecialnessReport(INCONCLUSIVE, m, steps=steps,
@@ -386,29 +442,21 @@ def fm_algorithm(c: CartanData, m: Monomial,
                              chain=trace.chains[witness], steps=steps)
 
 
-def _fm_closure(c, m, budget, order_within_level):
+def _fm_closure(c, m, budget, order_within_level, ex):
     """The closure of ``fm_algorithm``: its consistent report, or the
     (forced dominant or None, steps, diagnostic) of an inconclusive exit."""
     if not m.is_dominant():
         raise ValueError("the closure starts from a dominant monomial")
     mult = {m: 1}
     wit = {m: AWitness({})}
+    canonical = {m: m}  # one object per monomial, shared by every table
     settled = set()
-    class_members = {i: {} for i in c.nodes}
+    class_members = {i: {} for i in c.nodes}  # sorted (total, key, monomial)
     class_forced = {i: {} for i in c.nodes}
-    expand_cache = {}
     steps = 0
 
     def tie_key(nu):
         return order_within_level(nu) if order_within_level else nu.key
-
-    def expansion(root, i):
-        key = (root, i)
-        ch = expand_cache.get(key)
-        if ch is None:
-            ch = expand_Li_steps(c, root, i)
-            expand_cache[key] = ch
-        return ch
 
     def inconclusive(msg, dominant=None):
         return dominant, steps, msg
@@ -423,14 +471,16 @@ def _fm_closure(c, m, budget, order_within_level):
         steps += 1
         settled.add(mu)
         w_mu = wit[mu]
+        rank = (w_mu.total(), mu.key, mu)  # fixed once mu settles
+        nodes_of_mu = {j for (j, _), _ in mu.key}
         for i in c.nodes:
             ck = _cross_key(w_mu, i)
             members = class_members[i].setdefault(ck, [])
-            members.append(mu)
+            bisect.insort(members, rank)
             cached = class_forced[i].get(ck)
             if cached is not None and cached.get(mu, 0) == mult[mu]:
                 continue  # this class already explains mu at its multiplicity
-            if not any(j == i for (j, _), _ in mu.key):
+            if i not in nodes_of_mu:
                 # no Y_i content: mu explains itself and forces nothing new
                 if cached is not None and cached.get(mu, 0) > mult[mu]:
                     return inconclusive(
@@ -438,10 +488,9 @@ def _fm_closure(c, m, budget, order_within_level):
                 class_forced[i].setdefault(ck, {})[mu] = mult[mu]
                 continue
 
-            order = sorted(members, key=lambda x: (wit[x].total(), x.key))
-            rem = {nu: mult[nu] for nu in order}
+            rem = {nu: mult[nu] for _, _, nu in members}
             forced = {}
-            for top in order:
+            for top in rem:
                 coeff = rem[top]
                 if coeff == 0:
                     continue
@@ -453,7 +502,8 @@ def _fm_closure(c, m, budget, order_within_level):
                         f"node-{i} class leaves non-dominant "
                         f"{format_monomial(top)} unexplained")
                 w_top = wit[top]
-                for nu, (t, steps_tbl) in expansion(top, i).items():
+                for nu, t, steps_tbl in ex.results(top, i):
+                    nu = canonical.setdefault(nu, nu)
                     forced[nu] = forced.get(nu, 0) + coeff * t
                     if nu in rem:
                         rem[nu] -= coeff * t

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from qchar.cli import main
+from qchar.cli import _json_text, main
 from qchar.expansion import QCharacter
 from qchar.monomials import monomial_from_json, parse_monomial
 
@@ -160,3 +160,28 @@ def test_verify_remarks_json(capsys):
     assert doc["passed"] == doc["total"] == 3
     assert [r["name"] for r in doc["results"]] == [
         "sl4-interior-string", "fork-d4-leaf-level-4", "triangle-cycle-level-3"]
+
+
+def test_json_text_matches_json_dumps():
+    entry = {"node": 1, "power": -3, "exponent": 2}
+    doc = {"schema": "qchar/1", "empty": {}, "none": [], "flag": True,
+           "off": False, "missing": None, "ratio": 0.25, "big": 10 ** 20,
+           "text": 'tab\t "quoted" \u00e9\u2603 \\', "\u00e9key": [entry],
+           "nested": [[entry, {"node": 1, "power": -3, "exponent": 2}],
+                      {"deep": [entry, ()]}, (1, "x")],
+           "bools": [{"a": 1, "b": True}, {"a": 1, "b": 1}]}  # True == 1
+    assert _json_text(doc) == json.dumps(doc, indent=2)
+    assert _json_text([]) == "[]" and _json_text(7) == "7"
+
+
+@pytest.mark.parametrize("argv", [
+    ["qchar", "--g", "D4", "1_0 1_2"],
+    ["qchar", "--g", "A3", "1_1 3_1 2_4"],
+    ["qchar", "--g", "A3", "2_0 2_2 2_4", "--fm-steps", "2"],
+    ["enumerate", "--g", "D4", "--i", "2", "--k", "3"],
+    ["sweep", "--g", "A1..A2", "--kmax", "2"],
+    ["classify", "--g", "A3", "--i", "2", "--k", "3", "--empirical"],
+])
+def test_json_output_is_indent_2_dumps(capsys, argv):
+    _, out, _ = run(capsys, *argv, "--format", "json")
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"

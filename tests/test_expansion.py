@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from qchar import sl2
+from qchar import expansion, sl2
 from qchar.cartan import build_diagram
 from qchar.expansion import (
     DEFAULT_FM_STEPS,
@@ -8,7 +10,9 @@ from qchar.expansion import (
     NOT_SPECIAL,
     SPECIAL_FM_CONSISTENT,
     QCharacter,
+    _Expander,
     expand_Li,
+    expand_Li_steps,
     fm_algorithm,
     generate_process,
     qchar_is_thin,
@@ -18,6 +22,7 @@ from qchar.monomials import (
     Monomial,
     a_monomial,
     divide_as_a_product,
+    format_monomial,
     kr_highest,
     parse_monomial,
 )
@@ -298,3 +303,84 @@ def test_expand_all_outputs_admit_witness():
     for c, m, i in cases:
         for mu in expand_Li(c, m, i).terms:
             assert divide_as_a_product(c, mu, m) is not None
+
+
+def _random_i_dominant(rng, c, i, size=4, span=7):
+    """Nonnegative node-i exponents at random powers (negative ones too),
+    arbitrary exponents elsewhere; empty node-i content one time in five."""
+    e = {}
+    if rng.random() > 0.2:
+        for _ in range(rng.randint(1, size)):
+            key = (i, rng.randint(-span, span))
+            e[key] = e.get(key, 0) + rng.randint(1, 2)
+    others = [j for j in c.nodes if j != i]
+    for _ in range(rng.randint(0, size)):
+        key = (rng.choice(others), rng.randint(-span, span))
+        e[key] = e.get(key, 0) + rng.choice((-2, -1, 1, 2))
+    return Monomial(e)
+
+
+@pytest.mark.parametrize("series,rank,affine", [
+    ("A", 3, False), ("B", 3, False), ("C", 3, False), ("G", 2, False),
+    ("D", 4, False), ("A", 2, True)])
+def test_expander_matches_expand_li_steps(series, rank, affine):
+    c = build_diagram(series, rank, affine=affine)
+    rng = random.Random(f"{series}{rank}{affine}")
+    ex = _Expander(c)  # one engine per diagram, so shapes are reused
+    residues, negative, empty = set(), 0, 0
+    for _ in range(300):
+        i = rng.choice(c.nodes)
+        m = _random_i_dominant(rng, c, i)
+        want = expand_Li_steps(c, m, i)
+        got = list(ex.results(m, i))
+        assert got == [(mu, t, s) for mu, (t, s) in want.items()], \
+            (format_monomial(m), i)
+        for mu in want:
+            assert ex.occurs(m, i, mu)
+        assert not ex.occurs(m, i, m * a_monomial(c, i, 0))
+        powers = m.node_powers(i)
+        residues |= {(i, p % c.r(i)) for p in powers}
+        negative += any(p < 0 for p in powers)
+        empty += not powers
+    assert residues == {(i, r) for i in c.nodes for r in range(c.r(i))}
+    assert negative and empty
+
+
+def test_expander_names_the_callers_monomial():
+    ex = _Expander(build_diagram("B", 3))
+    m = parse_monomial("1_6 1_8^-1 2_3")
+    with pytest.raises(ValueError) as err:
+        list(ex.results(m, 1))
+    assert format_monomial(m) in str(err.value)
+    assert "1_0 1_2^-1" not in str(err.value)  # the shifted shape
+
+
+def _count_shapes(monkeypatch):
+    """Record the (node, shape) of every expand_Li_steps call."""
+    calls = []
+    original = expansion.expand_Li_steps
+
+    def counted(c, m, i):
+        powers = m.node_powers(i)
+        base = c.r(i) * (min(powers) // c.r(i)) if powers else 0
+        calls.append((i, tuple(sorted((p - base, e) for p, e in powers.items()))))
+        return original(c, m, i)
+
+    monkeypatch.setattr(expansion, "expand_Li_steps", counted)
+    return calls
+
+
+def test_fm_expands_each_shape_once(monkeypatch):
+    calls = _count_shapes(monkeypatch)
+    rep = fm_algorithm(D4, kr_highest(D4, 2, 2, 0))
+    assert rep.verdict == SPECIAL_FM_CONSISTENT
+    assert calls and len(calls) == len(set(calls))
+    assert len(calls) < rep.steps  # far fewer shapes than settled monomials
+
+
+def test_certifying_process_reuses_closure_shapes(monkeypatch):
+    # the closure stops early, then the process certifies with its engine
+    calls = _count_shapes(monkeypatch)
+    rep = fm_algorithm(A3, parse_monomial("1_1 3_1 2_4"), budget=2)
+    assert rep.verdict == NOT_SPECIAL
+    assert len(calls) == len(set(calls))
