@@ -32,7 +32,7 @@ import heapq
 from dataclasses import dataclass, field
 
 from . import sl2
-from .cartan import CartanData
+from .cartan import CartanData, DiagramError
 from .monomials import (
     AWitness,
     Monomial,
@@ -296,6 +296,13 @@ def _cross_key(w: AWitness, i):
     return tuple(kv for kv in w.key if kv[0][0] != i)
 
 
+def _check_nodes(c: CartanData, m: Monomial):
+    """Reject a monomial that names a node outside the diagram."""
+    for (j, _), _ in m.items():
+        if j not in c.nodes:
+            raise DiagramError(f"node {j} not in diagram {c.name}")
+
+
 def generate_process(c: CartanData, m: Monomial,
                      budget: int = DEFAULT_PROCESS_STEPS,
                      stop_on_dominant: bool = False,
@@ -312,6 +319,7 @@ def generate_process(c: CartanData, m: Monomial,
     """
     if not m.is_dominant():
         raise ValueError("generation starts from a dominant monomial")
+    _check_nodes(c, m)
     ex = _expander or _Expander(c)
     chains = {m: ()}
     wit = {m: AWitness({})}
@@ -447,6 +455,7 @@ def _fm_closure(c, m, budget, order_within_level, ex):
     (forced dominant or None, steps, diagnostic) of an inconclusive exit."""
     if not m.is_dominant():
         raise ValueError("the closure starts from a dominant monomial")
+    _check_nodes(c, m)
     mult = {m: 1}
     wit = {m: AWitness({})}
     canonical = {m: m}  # one object per monomial, shared by every table

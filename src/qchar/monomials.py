@@ -161,28 +161,28 @@ def is_thin_monomial(m: Monomial) -> bool:
     return all(-1 <= v <= 1 for _, v in m.items())
 
 
-def a_monomial(c: CartanData, i, r: int) -> Monomial:
-    """The root monomial A_{i,q^r}."""
+def a_exponents(c: CartanData, i, r: int) -> dict:
+    """Exponent map (node, power) -> exponent of A_{i,q^r}, no zero entries."""
     ri = c.r(i)
     e = {(i, r - ri): 1, (i, r + ri): 1}
-
-    def sub(j, p):
-        e[(j, p)] = e.get((j, p), 0) - 1
-
     for j in c.neighbors(i):
         cji = c.c(j, i)
         if cji == -1:
-            sub(j, r)
+            powers = (r,)
         elif cji == -2:
-            sub(j, r - 1)
-            sub(j, r + 1)
+            powers = (r - 1, r + 1)
         elif cji == -3:
-            sub(j, r - 2)
-            sub(j, r)
-            sub(j, r + 2)
+            powers = (r - 2, r, r + 2)
         else:
             raise ValueError(f"unexpected Cartan entry C[{j},{i}] = {cji}")
-    return Monomial(e)
+        for p in powers:
+            e[(j, p)] = e.get((j, p), 0) - 1
+    return e
+
+
+def a_monomial(c: CartanData, i, r: int) -> Monomial:
+    """The root monomial A_{i,q^r}."""
+    return Monomial(a_exponents(c, i, r))
 
 
 def kr_highest(c: CartanData, i, k: int, r: int) -> Monomial:
@@ -226,10 +226,11 @@ class AWitness:
 
     def apply(self, c: CartanData, m: Monomial) -> Monomial:
         """m * prod A_{i,q^r}^{-v}."""
-        out = m
+        e = dict(m._e)
         for (i, r), x in self.key:
-            out = out * (a_monomial(c, i, r) ** (-x))
-        return out
+            for kk, ae in a_exponents(c, i, r).items():
+                e[kk] = e.get(kk, 0) - x * ae
+        return Monomial(e)
 
     def __eq__(self, other):
         return isinstance(other, AWitness) and self.key == other.key
@@ -251,7 +252,13 @@ def divide_as_a_product(c: CartanData, target: Monomial, source: Monomial):
     ratio leaves the nonnegative A-lattice (a positive forced exponent, or
     descent below the ratio's own support).
     """
-    work = dict((target * source.inverse())._e)
+    work = dict(target._e)
+    for kk, x in source._e.items():
+        w = work.get(kk, 0) - x
+        if w:
+            work[kk] = w
+        else:
+            del work[kk]
     if not work:
         return AWitness({})
     floor = min(r for (_, r) in work)
@@ -267,7 +274,7 @@ def divide_as_a_product(c: CartanData, target: Monomial, source: Monomial):
                 # any valid factor bottoms out inside the ratio's support
                 return None
             v[(i, top - ri)] = v.get((i, top - ri), 0) - e
-            for kk, ae in a_monomial(c, i, top - ri).items():
+            for kk, ae in a_exponents(c, i, top - ri).items():
                 w = work.get(kk, 0) + (-e) * ae
                 if w:
                     work[kk] = w

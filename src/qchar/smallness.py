@@ -30,6 +30,7 @@ from .expansion import (
 from .monomials import (
     AWitness,
     Monomial,
+    a_exponents,
     a_monomial,
     divide_as_a_product,
     format_monomial,
@@ -117,75 +118,85 @@ def enumerate_dominant_below(c: CartanData, i, k: int, r: int,
 
     Depth-first search over root-step tables supported on the locality box,
     per-cell counts capped at k (configurable), scanning powers from the
-    top down; a branch dies as soon as a power that no remaining cell can
-    touch is left negative.  Every emitted monomial is round-tripped
-    through the witness solver.
+    top down.  A branch dies as soon as a negative exponent sits on a key
+    that no remaining cell can raise.  This is sound: A_{j,p}^{-1} raises
+    only the keys Y_{l,p} with l adjacent to j (the negative entries of
+    A_{j,p}) and lowers every other key it touches, so such an exponent
+    stays negative on every leaf below.  Every emitted monomial is
+    round-tripped through the witness solver.
     """
     if not c.simply_laced:
         raise DiagramError("dominant-monomial enumeration is implemented for "
                            "simply-laced diagrams")
+    if i not in c.nodes:
+        raise DiagramError(f"node {i} not in diagram {c.name}")
     X = kr_highest(c, i, k, r)
     cap = k if vcap is None else vcap
     cells = _support_box(c, i, k, r)
-    steps = [dict(a_monomial(c, j, p).items()) for j, p in cells]
+    steps = [tuple(a_exponents(c, j, p).items()) for j, p in cells]
+    # raisable[idx]: keys that some cell from idx on raises
+    raisable = [frozenset()]
+    for st in reversed(steps):
+        raisable.append(raisable[-1] | {key for key, ae in st if ae < 0})
+    raisable.reverse()
 
-    expo = {key: val for key, val in X.items()}
+    expo = dict(X.items())
     neg = set()
-    path = {}
+    counts = [0] * len(cells)
     out = []
-    state = {"visited": 0, "partial": False}
-
-    def bump(key, delta):
-        w = expo.get(key, 0) + delta
-        if w:
-            expo[key] = w
-            if w < 0:
-                neg.add(key)
-            else:
-                neg.discard(key)
-        else:
-            expo.pop(key, None)
-            neg.discard(key)
+    visited = 0
+    partial = False
 
     def rec(idx):
-        if state["partial"]:
+        nonlocal visited, partial
+        if visited >= budget:
+            partial = True
             return
-        if state["visited"] >= budget:
-            state["partial"] = True
+        visited += 1
+        if not neg <= raisable[idx]:
             return
-        state["visited"] += 1
         if idx == len(cells):
-            if not neg:
-                m = Monomial(dict(expo))
-                wit = AWitness(dict(path))
-                check = divide_as_a_product(c, m, X)
-                if check != wit:
-                    raise AssertionError("enumeration witness failed round-trip")
-                out.append((m, wit))
+            m = Monomial(expo)
+            wit = AWitness({cell: n for cell, n in zip(cells, counts) if n})
+            check = divide_as_a_product(c, m, X)
+            if check != wit:
+                raise AssertionError("enumeration witness failed round-trip")
+            out.append((m, wit))
             return
-        floor = cells[idx][1] + 2  # powers >= floor are final from here on
-        if any(p >= floor for (_, p) in neg):
-            return
-        j, pw = cells[idx]
         rec(idx + 1)
-        applied = 0
+        st = steps[idx]
         for v in range(1, cap + 1):
-            for key, ae in steps[idx].items():
-                bump(key, -ae)
-            applied += 1
-            path[(j, pw)] = applied
+            for key, ae in st:
+                w = expo.get(key, 0) - ae
+                if w:
+                    expo[key] = w
+                    if w < 0:
+                        neg.add(key)
+                    else:
+                        neg.discard(key)
+                else:
+                    del expo[key]
+                    neg.discard(key)
+            counts[idx] = v
             rec(idx + 1)
-            if state["partial"]:
+            if partial:
                 break
-        for _ in range(applied):
-            for key, ae in steps[idx].items():
-                bump(key, ae)
-        path.pop((j, pw), None)
+        for key, ae in st:  # undo this cell's counts in one pass
+            w = expo.get(key, 0) + counts[idx] * ae
+            if w:
+                expo[key] = w
+                if w < 0:
+                    neg.add(key)
+                else:
+                    neg.discard(key)
+            else:
+                expo.pop(key, None)
+                neg.discard(key)
+        counts[idx] = 0
 
     rec(0)
     out.sort(key=lambda ew: ew[0].key)
-    return Enumeration(entries=out, partial=state["partial"],
-                       visited=state["visited"])
+    return Enumeration(entries=out, partial=partial, visited=visited)
 
 
 def check_type_A_form(c: CartanData, entries, k: int) -> bool:
@@ -293,6 +304,8 @@ def check_small_empirical(c: CartanData, i, k: int, r: int,
 def sweep(diagrams, kmax: int, r: int = 0,
           budgets: Budgets = Budgets()) -> list:
     """Empirical-vs-closed-form verdicts for every node and level up to kmax."""
+    if kmax < 1:
+        raise ValueError("kmax must be >= 1")
     verdicts = []
     for c in diagrams:
         for i in c.nodes:

@@ -9,6 +9,7 @@ comparisons are exact integer equalities.
 import itertools
 import time
 
+from _enum_oracle import box_cells, box_dominants
 from _fuzz import (
     run_partial_order_axioms,
     run_right_negativity,
@@ -16,7 +17,7 @@ from _fuzz import (
     run_witness_round_trip,
 )
 
-from qchar.cartan import build_diagram, graph_distance
+from qchar.cartan import build_diagram
 from qchar.expansion import (
     NOT_SPECIAL,
     SPECIAL_FM_CONSISTENT,
@@ -176,54 +177,9 @@ def test_criterion_5_classification_sweep():
     _report(5, "classification sweep A1-A4, D4, k<=4", t0)
 
 
-def _oracle_box_dominants(c, i, k, r, cap):
-    """Independent brute force: ascending-power scan of the full locality
-    box (no parity reduction), pruning only when a power that no remaining
-    cell can touch has gone negative."""
-    cells = []
-    for j in c.nodes:
-        d = graph_distance(c, i, j)
-        if d is None or d > k - 1:
-            continue
-        for rel in range(d + 1 - k, k - d):
-            cells.append((j, r + rel))
-    cells.sort(key=lambda jp: (jp[1], jp[0]))
-    steps = [dict(a_monomial(c, j, p).items()) for j, p in cells]
-    expo = dict(kr_highest(c, i, k, r).items())
-    found = []
-
-    def rec(idx):
-        if idx == len(cells):
-            if all(v >= 0 for v in expo.values()):
-                found.append(Monomial({kk: vv for kk, vv in expo.items() if vv}))
-            return
-        ceiling = cells[idx][1] - 2  # powers <= ceiling can no longer change
-        if any(v < 0 and p <= ceiling for (_, p), v in expo.items()):
-            return
-        rec(idx + 1)
-        applied = 0
-        for _ in range(cap):
-            for key, ae in steps[idx].items():
-                expo[key] = expo.get(key, 0) - ae
-            applied += 1
-            rec(idx + 1)
-        for _ in range(applied):
-            for key, ae in steps[idx].items():
-                expo[key] = expo.get(key, 0) + ae
-
-    rec(0)
-    return sorted(set(found), key=lambda m: m.key)
-
-
 def _oracle_exhaustive(c, i, k, r, cap):
     """Cap-bounded exhaustive product over the full box, no pruning at all."""
-    cells = []
-    for j in c.nodes:
-        d = graph_distance(c, i, j)
-        if d is None or d > k - 1:
-            continue
-        for rel in range(d + 1 - k, k - d):
-            cells.append((j, r + rel))
+    cells = box_cells(c, i, k, r)
     X = kr_highest(c, i, k, r)
     found = set()
     for values in itertools.product(range(cap + 1), repeat=len(cells)):
@@ -244,7 +200,7 @@ def test_criterion_6_gap_form_oracle_equivalence():
             enum = enumerate_dominant_below(c, 1, k, 0)
             assert not enum.partial
             mine = [m for m, _ in enum.entries]
-            assert mine == _oracle_box_dominants(c, 1, k, 0, cap=k), (n, k)
+            assert mine == box_dominants(c, 1, k, 0, cap=k), (n, k)
             assert check_type_A_form(c, enum.entries, k), (n, k)
     # anchor the pruned oracle against a prune-free product on small cases
     for n, k in [(1, 3), (1, 4), (2, 2), (2, 3), (3, 3)]:

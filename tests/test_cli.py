@@ -90,6 +90,18 @@ def test_parse_errors_exit_2(capsys):
     assert code == 2 and "simply-laced" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["enumerate", "--g", "D4", "--i", "9", "--k", "2"], "node 9 not in diagram D4"),
+    (["qchar", "--g", "A2", "1_0 5_3"], "node 5 not in diagram A2"),
+    (["qchar", "--g", "D4", "9_0"], "node 9 not in diagram D4"),
+    (["sweep", "--g", "A1", "--kmax", "0"], "kmax must be >= 1"),
+])
+def test_bad_input_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_budget_exhaustion_exit_4(capsys):
     code, out, _ = run(capsys, "qchar", "--g", "A3", "2_-2 2_0 2_2",
                        "--fm-steps", "2")

@@ -1,4 +1,7 @@
+import functools
+
 import pytest
+from _enum_oracle import box_dominants
 
 from qchar.cartan import DiagramError, build_diagram
 from qchar.expansion import NOT_SPECIAL, SPECIAL_FM_CONSISTENT
@@ -138,6 +141,52 @@ def test_enumerate_rejects_non_simply_laced():
         enumerate_dominant_below(build_diagram("B", 2), 1, 2, 0)
 
 
+def test_enumerate_rejects_unknown_node():
+    with pytest.raises(DiagramError, match="node 9 not in diagram D4"):
+        enumerate_dominant_below(D4, 9, 2, 0)
+
+
+@functools.lru_cache(maxsize=None)
+def _complete(name, rank, i, k):
+    enum = enumerate_dominant_below(build_diagram(name, rank), i, k, 0)
+    assert not enum.partial
+    return enum
+
+
+def test_enumerate_matches_box_oracle_on_forks():
+    # the oracle scans the whole box bottom-up and prunes by power alone
+    d5, e6 = build_diagram("D", 5), build_diagram("E", 6)
+    cases = [(D4, i, k) for i in (1, 2) for k in (1, 2, 3, 4)]
+    cases += [(d5, 3, 4), (e6, 3, 4)]
+    for c, i, k in cases:
+        enum = enumerate_dominant_below(c, i, k, 0)
+        assert not enum.partial
+        mine = [m for m, _ in enum.entries]
+        assert mine == box_dominants(c, i, k, 0, cap=k), (c.name, i, k)
+
+
+@pytest.mark.parametrize("name, rank, i, entries, visited", [
+    ("E", 6, 3, 1156, 128_629),
+    ("D", 5, 3, 450, 25_615),
+    ("D", 4, 2, 190, 6_385),
+])
+def test_enumerate_visited_is_pinned(name, rank, i, entries, visited):
+    # deterministic search-size counters at k = 5: a weaker prune visits more
+    enum = _complete(name, rank, i, 5)
+    assert (len(enum.entries), enum.visited) == (entries, visited)
+
+
+def test_partial_enumeration_is_a_subset():
+    full = dict(_complete("E", 6, 3, 5).entries)
+    e6 = build_diagram("E", 6)
+    for budget in (1_000, 100_000):
+        part = enumerate_dominant_below(e6, 3, 5, 0, budget=budget)
+        assert part.partial and part.visited == budget
+        assert part.entries
+        for m, w in part.entries:
+            assert full[m] == w
+
+
 def test_enumerate_cap_is_not_binding():
     # the per-cell count cap defaults to k; raising it must not reveal
     # further dominant monomials at the sweep sizes
@@ -201,6 +250,12 @@ def test_verdict_json_shape():
     assert doc["empirical"]["witnesses"]
     chain = doc["empirical"]["witnesses"][0]["chain"]
     assert all({"node", "root", "result"} <= set(step) for step in chain)
+
+
+def test_sweep_rejects_kmax_below_one():
+    for kmax in (0, -1):
+        with pytest.raises(ValueError, match="kmax"):
+            sweep([A1], kmax)
 
 
 def test_sweep_small_block():
