@@ -309,12 +309,20 @@ def generate_process(c: CartanData, m: Monomial,
                      *, _expander: _Expander | None = None) -> GenerationTrace:
     """Closure of {m} under admissible single-node expansions.
 
-    A generated monomial m' may be expanded at node i when it is i-dominant
-    and no strictly greater generated monomial already yields m' in its own
-    node-i expansion (checked against the set generated so far; each chain
-    step records that the check held when taken).  Work proceeds in
-    ascending order of the witness total against m, ties broken by the
-    canonical encoding, so runs are reproducible.  ``_expander`` lets
+    A generated monomial mu may be expanded at node i when it is i-dominant
+    and not blocked at i: no strictly greater generated monomial that is
+    i-dominant yields mu in its own node-i expansion (a rank-1 simple
+    character can hold dominant monomials below its highest one, so such a
+    result may be i-dominant).  Monomials pop in ascending order of the
+    witness total against m, ties broken by the canonical encoding, so runs
+    are reproducible.  A non-root result of a node-i expansion lies strictly
+    below its root, and every push has a larger total than the monomial
+    just popped, so when mu pops every generated monomial strictly greater
+    than mu has popped already.  The check is therefore one lookup:
+    ``covered[i]`` holds the non-root results of the node-i expansions of
+    every i-dominant monomial popped so far, blocked or not, and mu is
+    blocked at i exactly when it is in ``covered[i]``.  Each chain step
+    records that the check held when taken.  ``_expander`` lets
     ``fm_algorithm`` hand over the expansions its closure already made.
     """
     if not m.is_dominant():
@@ -322,58 +330,34 @@ def generate_process(c: CartanData, m: Monomial,
     _check_nodes(c, m)
     ex = _expander or _Expander(c)
     chains = {m: ()}
-    wit = {m: AWitness({})}
-    orbits = {i: {} for i in c.nodes}  # cross-key -> [monomial]
-    for i in c.nodes:
-        orbits[i].setdefault(_cross_key(wit[m], i), []).append(m)
+    canonical = {m: m}  # one object per monomial, shared by chains and covered
+    covered = {i: set() for i in c.nodes}
     heap = [(0, m.key, m)]
-    done = set()
     steps = 0
     partial = False
     stop = False
-
-    def blocked(mu, i):
-        w_mu = wit[mu]
-        for other in orbits[i].get(_cross_key(w_mu, i), ()):
-            if other == mu:
-                continue
-            diff = dict(w_mu.v)
-            for k, x in wit[other].items():
-                diff[k] = diff.get(k, 0) - x
-            if any(x < 0 for x in diff.values()) or not any(diff.values()):
-                continue
-            if not other.is_dominant([i]):
-                continue
-            if ex.occurs(other, i, mu):
-                return True
-        return False
-
     while heap and not stop:
-        _, _, mu = heapq.heappop(heap)
-        if mu in done:
-            continue
-        done.add(mu)
+        total, _, mu = heapq.heappop(heap)
         for i in c.nodes:
             if not mu.is_dominant([i]):
                 continue
-            if blocked(mu, i):
+            results = [(canonical.setdefault(nu, nu), steps_tbl)
+                       for nu, _, steps_tbl in ex.results(mu, i) if steps_tbl]
+            blocked = mu in covered[i]
+            covered[i].update(nu for nu, _ in results)
+            if blocked:
                 continue
             if steps >= budget:
                 partial = True
                 stop = True
                 break
             steps += 1
-            for nu, _, steps_tbl in sorted(ex.results(mu, i),
-                                           key=lambda r: r[0].key):
+            for nu, steps_tbl in sorted(results, key=lambda r: r[0].key):
                 if nu in chains:
                     continue
                 chains[nu] = chains[mu] + (TraceStep(i, mu, nu),)
-                w = _witness_plus(wit[mu], steps_tbl)
-                wit[nu] = w
-                for j in c.nodes:
-                    orbits[j].setdefault(_cross_key(w, j), []).append(nu)
-                heapq.heappush(heap, (w.total(), nu.key, nu))
-                if stop_on_dominant and nu != m and nu.is_dominant():
+                heapq.heappush(heap, (total + sum(steps_tbl.values()), nu.key, nu))
+                if stop_on_dominant and nu.is_dominant():
                     stop = True
             if stop:
                 break

@@ -82,10 +82,6 @@ class Monomial:
         """Exponent of Y_{i,q^r}."""
         return self._e.get((i, r), 0)
 
-    def u_node(self, i) -> int:
-        """Sum of exponents over all powers at node i."""
-        return sum(v for (j, _), v in self._e.items() if j == i)
-
     def node_powers(self, i) -> dict:
         """The map power -> exponent restricted to node i."""
         return {r: v for (j, r), v in self._e.items() if j == i}
@@ -101,11 +97,6 @@ class Monomial:
         if not self._e:
             return None
         return max(r for (_, r) in self._e)
-
-    def min_power(self):
-        if not self._e:
-            return None
-        return min(r for (_, r) in self._e)
 
     def is_dominant(self, nodes=None) -> bool:
         """True iff all stored exponents at the given nodes are nonnegative.
@@ -215,14 +206,8 @@ class AWitness:
     def total(self) -> int:
         return sum(self.v.values())
 
-    def get(self, i, r) -> int:
-        return self.v.get((i, r), 0)
-
     def items(self):
         return self.key
-
-    def support_nodes(self):
-        return {i for (i, _) in self.v}
 
     def apply(self, c: CartanData, m: Monomial) -> Monomial:
         """m * prod A_{i,q^r}^{-v}."""

@@ -112,14 +112,13 @@ def _support_box(c, i, k, r):
 
 
 def enumerate_dominant_below(c: CartanData, i, k: int, r: int,
-                             budget: int = DEFAULT_ENUM_NODES,
-                             vcap: int | None = None) -> Enumeration:
+                             budget: int = DEFAULT_ENUM_NODES) -> Enumeration:
     """All dominant monomials m' <= X for X the level-k string at node i.
 
     Depth-first search over root-step tables supported on the locality box,
-    per-cell counts capped at k (configurable), scanning powers from the
-    top down.  A branch dies as soon as a negative exponent sits on a key
-    that no remaining cell can raise.  This is sound: A_{j,p}^{-1} raises
+    per-cell counts capped at k, scanning powers from the top down.  A
+    branch dies as soon as a negative exponent sits on a key that no
+    remaining cell can raise.  This is sound: A_{j,p}^{-1} raises
     only the keys Y_{l,p} with l adjacent to j (the negative entries of
     A_{j,p}) and lowers every other key it touches, so such an exponent
     stays negative on every leaf below.  Every emitted monomial is
@@ -131,7 +130,6 @@ def enumerate_dominant_below(c: CartanData, i, k: int, r: int,
     if i not in c.nodes:
         raise DiagramError(f"node {i} not in diagram {c.name}")
     X = kr_highest(c, i, k, r)
-    cap = k if vcap is None else vcap
     cells = _support_box(c, i, k, r)
     steps = [tuple(a_exponents(c, j, p).items()) for j, p in cells]
     # raisable[idx]: keys that some cell from idx on raises
@@ -165,7 +163,7 @@ def enumerate_dominant_below(c: CartanData, i, k: int, r: int,
             return
         rec(idx + 1)
         st = steps[idx]
-        for v in range(1, cap + 1):
+        for v in range(1, k + 1):
             for key, ae in st:
                 w = expo.get(key, 0) - ae
                 if w:
@@ -306,6 +304,8 @@ def sweep(diagrams, kmax: int, r: int = 0,
     """Empirical-vs-closed-form verdicts for every node and level up to kmax."""
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
+    if not diagrams:
+        raise ValueError("no diagrams to sweep")
     verdicts = []
     for c in diagrams:
         for i in c.nodes:

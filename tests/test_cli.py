@@ -95,6 +95,7 @@ def test_parse_errors_exit_2(capsys):
     (["qchar", "--g", "A2", "1_0 5_3"], "node 5 not in diagram A2"),
     (["qchar", "--g", "D4", "9_0"], "node 9 not in diagram D4"),
     (["sweep", "--g", "A1", "--kmax", "0"], "kmax must be >= 1"),
+    (["sweep", "--g", "A4..A1", "--kmax", "2"], "no diagrams to sweep"),
 ])
 def test_bad_input_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -1,3 +1,4 @@
+import heapq
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from qchar.expansion import (
     NOT_SPECIAL,
     SPECIAL_FM_CONSISTENT,
     QCharacter,
+    TraceStep,
     _Expander,
     expand_Li,
     expand_Li_steps,
@@ -161,6 +163,88 @@ def test_process_witnesses_against_start():
     trace = generate_process(D4, m)
     for nu in trace.chains:
         assert divide_as_a_product(D4, nu, m) is not None
+
+
+def _reference_process(c, m, budget, stop_on_dominant):
+    """The generation process read off its definition: mu is blocked at i
+    when a generated i-dominant monomial ``other`` lies above mu by a
+    nonzero node-i root-step table and has mu in its node-i expansion."""
+    def blocks(other, mu, i):
+        if not other.is_dominant([i]):
+            return False
+        w = divide_as_a_product(c, mu, other)
+        return (w is not None and w.total() > 0
+                and all(j == i for (j, _), _ in w.items())
+                and mu in expand_Li(c, other, i))
+
+    chains = {m: ()}
+    heap = [(0, m.key, m)]
+    steps, partial, stop, blocked = 0, False, False, 0
+    while heap and not stop:
+        _, _, mu = heapq.heappop(heap)
+        for i in c.nodes:
+            if not mu.is_dominant([i]):
+                continue
+            if any(blocks(other, mu, i) for other in chains):
+                blocked += 1
+                continue
+            if steps >= budget:
+                partial = stop = True
+                break
+            steps += 1
+            for nu in sorted(expand_Li(c, mu, i).terms, key=lambda x: x.key):
+                if nu in chains:
+                    continue
+                chains[nu] = chains[mu] + (TraceStep(i, mu, nu),)
+                total = divide_as_a_product(c, nu, m).total()
+                heapq.heappush(heap, (total, nu.key, nu))
+                stop = stop or (stop_on_dominant and nu.is_dominant())
+            if stop:
+                break
+    return chains, steps, partial, blocked
+
+
+@pytest.mark.parametrize("series,rank,affine", [
+    ("A", 3, False), ("B", 3, False), ("G", 2, False), ("D", 4, False),
+    ("A", 2, True)])
+def test_process_matches_its_definition(series, rank, affine):
+    c = build_diagram(series, rank, affine=affine)
+    rng = random.Random(f"process {series}{rank}{affine}")
+    seen = {"partial": 0, "blocked": 0}
+    for n in range(6):
+        # every other start doubles the bottom of a string, so that its
+        # rank-1 expansion holds a second i-dominant monomial to block
+        j, p = rng.choice(c.nodes), rng.randint(-3, 3)
+        e = {(j, p): 2, (j, p + 2 * c.r(j)): 1} if n % 2 else {}
+        for _ in range(rng.randint(1, 2)):
+            key = (rng.choice(c.nodes), rng.randint(-3, 3))
+            e[key] = e.get(key, 0) + rng.randint(1, 2)
+        m = Monomial(e)
+        for budget in (4, 40):
+            for stop_on_dominant in (False, True):
+                trace = generate_process(c, m, budget, stop_on_dominant)
+                chains, steps, partial, blocked = _reference_process(
+                    c, m, budget, stop_on_dominant)
+                assert trace.chains == chains
+                assert (trace.steps, trace.partial) == (steps, partial)
+                seen["partial"] += partial
+                seen["blocked"] += blocked
+    assert all(seen.values()), seen
+
+
+def test_process_blocked_monomial_still_blocks():
+    # mu is blocked at node 2 only by a monomial that is itself blocked at
+    # node 2, so the results of blocked monomials must count too
+    g2 = build_diagram("G", 2)
+    m = parse_monomial("1_2^2 2_1^3")
+    mu = parse_monomial("1_2^2 1_8^-2 2_1 2_5^2 2_7^2")
+    trace = generate_process(g2, m, budget=20)
+    chains, steps, partial, _ = _reference_process(g2, m, 20, False)
+    assert trace.chains == chains
+    assert (trace.steps, trace.partial) == (steps, partial)
+    assert mu in chains and mu.is_dominant([2])
+    assert not any(step.root == mu and step.node == 2
+                   for chain in chains.values() for step in chain)
 
 
 def test_fm_rank1_closed_forms():
