@@ -202,7 +202,8 @@ def _cmd_classify(args):
              f"empirical: {cell.empirical.verdict} "
              f"({len(cell.empirical.entries)} dominant monomials, "
              f"{len(cell.empirical.not_special)} not special, "
-             f"{len(cell.empirical.undetermined)} undetermined)",
+             f"{len(cell.empirical.undetermined)} undetermined, "
+             f"{len(cell.empirical.no_candidate)} no candidate)",
              f"agree: {'yes' if cell.agree else 'no'}"]
     _emit(doc, args, lines)
     if cell.empirical.partial_enumeration or cell.empirical.undetermined:

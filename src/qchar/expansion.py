@@ -21,8 +21,9 @@ the top.  Forcing a second dominant monomial refutes the assumption; the
 refutation is then certified with a generation-process chain.
 
 The closure, the generation process and chain replay expand through one
-``_Expander`` per run, which calls ``expand_Li_steps`` once per shape (a
-node restriction up to a shift by a multiple of r_i).
+``_Expander`` per run (per cell in the empirical pipeline), which calls
+``expand_Li_steps`` once per shape (a node restriction up to a shift by a
+multiple of r_i).
 """
 
 from __future__ import annotations
@@ -398,7 +399,8 @@ class SpecialnessReport:
 def fm_algorithm(c: CartanData, m: Monomial,
                  budget: int = DEFAULT_FM_STEPS,
                  process_budget: int = DEFAULT_PROCESS_STEPS,
-                 order_within_level=None) -> SpecialnessReport:
+                 order_within_level=None,
+                 *, _expander: _Expander | None = None) -> SpecialnessReport:
     """Frenkel-Mukhin closure for the character of L(m), m dominant.
 
     The worklist is ordered by ascending witness total against m, ties by
@@ -415,9 +417,10 @@ def fm_algorithm(c: CartanData, m: Monomial,
     it, else by the first dominant one it generates.  Every other
     inconclusive exit (a spent budget or an inconsistent class) asks the
     generation process for a second dominant monomial too, and reports
-    Inconclusive only if there is none.
+    Inconclusive only if there is none.  ``_expander`` lets
+    ``check_small_empirical`` share one engine across a cell's closures.
     """
-    ex = _Expander(c)
+    ex = _expander or _Expander(c)
     out = _fm_closure(c, m, budget, order_within_level, ex)
     if isinstance(out, SpecialnessReport):
         return out

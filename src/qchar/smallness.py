@@ -11,7 +11,9 @@ The empirical pipeline checks the same statement through characters: every
 dominant monomial below the string is enumerated inside its locality box
 and each one is tested for a second dominant monomial in the character of
 its simple module.  A certified second dominant monomial anywhere makes
-the standard module not small; all-clear closures make it small.
+the standard module not small; all-clear closures make it small.  An
+entry with no other enumerated dominant monomial below it needs no
+closure: every monomial of its simple module's character lies below it.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .expansion import (
     DEFAULT_PROCESS_STEPS,
     INCONCLUSIVE,
     NOT_SPECIAL,
+    _Expander,
     fm_algorithm,
     generate_process,
 )
@@ -225,6 +228,7 @@ class EmpiricalRecord:
     reports: dict = field(default_factory=dict)   # Monomial -> SpecialnessReport
     not_special: list = field(default_factory=list)
     undetermined: list = field(default_factory=list)
+    no_candidate: list = field(default_factory=list)  # special without a closure
     partial_enumeration: bool = False
     verdict: str = UNDETERMINED
 
@@ -259,11 +263,28 @@ class SmallnessVerdict:
                              for m, w in emp.entries],
                 "witnesses": witnesses,
                 "undetermined": [monomial_to_json(m) for m in emp.undetermined],
+                "no_candidate": [monomial_to_json(m) for m in emp.no_candidate],
                 "partial_enumeration": emp.partial_enumeration,
                 "verdict": emp.verdict,
             }
             out["agree"] = self.agree
         return out
+
+
+def no_candidate_entries(enum: Enumeration) -> list:
+    """Entries m' other than the string X that are special without a closure.
+
+    When the enumeration is complete and no other entry lies below m',
+    L(m') is special: every monomial of chi_q(L(m')) is <= m' <= X, so
+    every dominant one is an entry below m' (Frenkel-Mukhin).  Entries
+    share X, so d <= m' iff w_d - w_{m'} >= 0 entrywise.  X itself (the
+    empty witness table) keeps its closure even when it is the only entry.
+    """
+    if enum.partial:
+        return []
+    return [m for m, w in enum.entries if w.v and not any(
+        d != w and all(d.v.get(cell, 0) >= n for cell, n in w.items())
+        for _, d in enum.entries)]
 
 
 def check_small_empirical(c: CartanData, i, k: int, r: int,
@@ -274,14 +295,21 @@ def check_small_empirical(c: CartanData, i, k: int, r: int,
     each, and combines: a certified second dominant monomial anywhere means
     NotSmall; all closures consistent (and the enumeration complete) means
     Small; anything unresolved leaves the cell Undetermined.
+
+    Entries that ``no_candidate_entries`` clears get no closure and no
+    report.  The closures of one cell share one expansion engine.
     """
     theoretical = classify(c, i, k)
     enum = enumerate_dominant_below(c, i, k, r, budget=budgets.enum_nodes)
     record = EmpiricalRecord(entries=enum.entries,
+                             no_candidate=no_candidate_entries(enum),
                              partial_enumeration=enum.partial)
+    ex = _Expander(c)
     for m, _w in enum.entries:
+        if m in record.no_candidate:
+            continue
         rep = fm_algorithm(c, m, budget=budgets.fm_steps,
-                           process_budget=budgets.process_steps)
+                           process_budget=budgets.process_steps, _expander=ex)
         record.reports[m] = rep
         if rep.verdict == NOT_SPECIAL:
             record.not_special.append(m)

@@ -28,7 +28,10 @@ def test_classify_empirical(capsys):
     code, out, _ = run(capsys, "classify", "--g", "A3", "--i", "2", "--k", "3",
                        "--r", "2", "--empirical")
     assert code == 0
-    assert out.splitlines()[0] == "NotSmall"
+    assert out.splitlines()[:2] == [
+        "NotSmall",
+        "empirical: NotSmall (6 dominant monomials, 1 not special, "
+        "0 undetermined, 1 no candidate)"]
     assert "agree: yes" in out
 
 

@@ -28,11 +28,13 @@ from qchar.monomials import (
     kr_highest,
     parse_monomial,
 )
+from qchar.smallness import check_small_empirical, enumerate_dominant_below
 
 A1 = build_diagram("A", 1)
 A2 = build_diagram("A", 2)
 A3 = build_diagram("A", 3)
 D4 = build_diagram("D", 4)
+A2_AFFINE = build_diagram("A", 2, affine=True)
 
 
 def test_expand_single_variable():
@@ -468,3 +470,21 @@ def test_certifying_process_reuses_closure_shapes(monkeypatch):
     rep = fm_algorithm(A3, parse_monomial("1_1 3_1 2_4"), budget=2)
     assert rep.verdict == NOT_SPECIAL
     assert len(calls) == len(set(calls))
+
+
+def test_empirical_cell_expands_each_shape_once(monkeypatch):
+    # one engine serves every closure and certifying process of the cell
+    calls = _count_shapes(monkeypatch)
+    cell = check_small_empirical(A3, 2, 3, 2)
+    assert len(cell.empirical.reports) > 1
+    assert calls and len(calls) == len(set(calls))
+
+
+@pytest.mark.parametrize("c, i, k", [(D4, 2, 3), (A2_AFFINE, 0, 2)])
+def test_shared_expander_matches_fresh_engines(c, i, k):
+    subjects = [m for m, _ in enumerate_dominant_below(c, i, k, 0).entries]
+    fresh = {m: fm_algorithm(c, m, 400, 400).to_json() for m in subjects}
+    for order in (subjects, subjects[::-1]):
+        ex = _Expander(c)
+        for m in order:
+            assert fm_algorithm(c, m, 400, 400, _expander=ex).to_json() == fresh[m]

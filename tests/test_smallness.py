@@ -4,16 +4,18 @@ import pytest
 from _enum_oracle import box_dominants
 
 from qchar.cartan import DiagramError, build_diagram
-from qchar.expansion import NOT_SPECIAL, SPECIAL_FM_CONSISTENT
+from qchar.expansion import NOT_SPECIAL, SPECIAL_FM_CONSISTENT, fm_algorithm
 from qchar.monomials import Monomial, a_monomial, kr_highest, parse_monomial
 from qchar.smallness import (
     NOT_SMALL,
     SMALL,
+    UNDETERMINED,
     Budgets,
     check_small_empirical,
     check_type_A_form,
     classify,
     enumerate_dominant_below,
+    no_candidate_entries,
     sweep,
     verify_counterexamples,
 )
@@ -230,6 +232,12 @@ def test_check_small_empirical_counter_cell():
     rep = cell.empirical.reports[mp]
     assert rep.verdict == NOT_SPECIAL
     assert rep.witness == parse_monomial("2_2")
+    # 2_2 has no other entry below it, so it is cleared without a closure
+    assert cell.empirical.no_candidate == [parse_monomial("2_2")]
+    assert cell.empirical.no_candidate == no_candidate_entries(
+        enumerate_dominant_below(A3, 2, 3, 2))
+    assert set(cell.empirical.reports) == (
+        {m for m, _ in cell.empirical.entries} - {parse_monomial("2_2")})
 
 
 def test_check_small_empirical_small_cell():
@@ -248,8 +256,61 @@ def test_verdict_json_shape():
     assert doc["empirical"]["dominant_count"] == len(cell.empirical.entries)
     assert doc["agree"] is True
     assert doc["empirical"]["witnesses"]
+    assert list(doc["empirical"]) == [
+        "dominant_count", "dominant", "witnesses", "undetermined",
+        "no_candidate", "partial_enumeration", "verdict"]
+    assert doc["empirical"]["no_candidate"] == [[{"node": 2, "power": 2, "exponent": 1}]]
     chain = doc["empirical"]["witnesses"][0]["chain"]
     assert all({"node", "root", "result"} <= set(step) for step in chain)
+
+
+def _cleared_entries(c, ks):
+    for i in c.nodes:
+        for k in ks:
+            for m in no_candidate_entries(enumerate_dominant_below(c, i, k, 0)):
+                yield i, k, m
+
+
+def test_no_candidate_entries_have_consistent_closures():
+    grid = [(build_diagram("A", n), range(1, 5)) for n in (1, 2, 3, 4)]
+    grid += [(D4, range(1, 5)), (build_diagram("D", 5), range(1, 3))]
+    cleared = 0
+    for c, ks in grid:
+        for i, k, m in _cleared_entries(c, ks):
+            cleared += 1
+            assert fm_algorithm(c, m).verdict == SPECIAL_FM_CONSISTENT, (c.name, i, k, m)
+    assert cleared == 53
+
+
+def test_no_candidate_entries_not_refuted_on_affine():
+    cleared = 0
+    for rank, series in ((2, "A"), (3, "A"), (4, "D")):
+        c = build_diagram(series, rank, affine=True)
+        for i, k, m in _cleared_entries(c, range(1, 4)):
+            cleared += 1
+            assert fm_algorithm(c, m, 400, 400).verdict != NOT_SPECIAL, (c.name, i, k, m)
+    assert cleared == 24
+
+
+def test_string_keeps_its_closure():
+    # the only entry of a level-1 cell has no candidate, but it is X itself
+    c = build_diagram("A", 2, affine=True)
+    cell = check_small_empirical(c, 1, 1, 0, Budgets(fm_steps=400, process_steps=400))
+    X = kr_highest(c, 1, 1, 0)
+    assert cell.empirical.verdict == UNDETERMINED
+    assert cell.empirical.undetermined == [X]
+    assert cell.empirical.no_candidate == []
+    assert list(cell.empirical.reports) == [X]
+
+
+def test_partial_enumeration_clears_nothing():
+    # complete, the two listed entries would clear the not-special one
+    cell = check_small_empirical(A3, 2, 3, 0, Budgets(enum_nodes=10))
+    emp = cell.empirical
+    assert emp.partial_enumeration and emp.verdict == NOT_SMALL
+    assert len(emp.entries) == 2 and emp.no_candidate == []
+    assert set(emp.reports) == {m for m, _ in emp.entries}
+    assert emp.not_special == [parse_monomial("1_-1 2_2 3_-1")]
 
 
 def test_sweep_rejects_kmax_below_one():
