@@ -115,9 +115,6 @@ class CartanData:
                         return None
         return color
 
-    def signature(self):
-        return self._sig
-
     def __eq__(self, other):
         return isinstance(other, CartanData) and self._sig == other._sig
 

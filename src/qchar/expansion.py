@@ -13,11 +13,15 @@ the node-i expansion of a strictly greater generated monomial may itself be
 expanded at i, and everything in its expansion occurs.  Every generated
 monomial carries a replayable chain of (node, root, result) steps.
 
-``fm_algorithm`` runs the Frenkel-Mukhin closure: assuming the character of
-L(m) has no second dominant monomial, lower multiplicities are forced class
-by class (a class is an orbit of one node's root lattice) by greedily
-decomposing the settled class content into rank-1 simple characters from
-the top.  Forcing a second dominant monomial refutes the assumption; the
+``fm_algorithm`` runs the Frenkel-Mukhin closure in its coloured form:
+assuming the character of L(m) has no second dominant monomial, each node
+i records how much of each monomial's multiplicity the node-i expansions of
+higher monomials already explain, and a settling monomial expands at i with
+the rest as coefficient, forcing multiplicities below it.  That is the
+greedy decomposition of each node-i class (an orbit of node i's root
+lattice) into rank-1 simple characters from the top, made once: expansions
+never leave their root's class and settle after it, so no class is ever
+re-derived.  Forcing a second dominant monomial refutes the assumption; the
 refutation is then certified with a generation-process chain.
 
 The closure, the generation process and chain replay expand through one
@@ -28,14 +32,12 @@ multiple of r_i).
 
 from __future__ import annotations
 
-import bisect
 import heapq
 from dataclasses import dataclass, field
 
 from . import sl2
 from .cartan import CartanData, DiagramError
 from .monomials import (
-    AWitness,
     Monomial,
     a_monomial,
     format_monomial,
@@ -222,13 +224,6 @@ class _Expander:
         return any(delta == ratio for delta, _, _ in self._templates(root, i))
 
 
-def _witness_plus(w: AWitness, steps: dict) -> AWitness:
-    v = dict(w.v)
-    for k, x in steps.items():
-        v[k] = v.get(k, 0) + x
-    return AWitness(v)
-
-
 @dataclass(frozen=True)
 class TraceStep:
     """One expansion step: ``result`` occurs in the node-``node`` expansion
@@ -290,11 +285,6 @@ class GenerationTrace:
                 "generated": gen,
                 "partial": self.partial,
                 "steps": self.steps}
-
-
-def _cross_key(w: AWitness, i):
-    """Witness entries away from node i; constant on one node-i root orbit."""
-    return tuple(kv for kv in w.key if kv[0][0] != i)
 
 
 def _check_nodes(c: CartanData, m: Monomial):
@@ -406,16 +396,22 @@ def fm_algorithm(c: CartanData, m: Monomial,
     The worklist is ordered by ascending witness total against m, ties by
     canonical encoding (``order_within_level`` lets tests permute the tie
     order with any injective key to exercise the order-independence
-    contract).  Settling a monomial re-derives each of its node classes:
-    the settled class content, restricted to the node, must decompose as a
-    nonnegative combination of rank-1 simple characters taken greedily from
-    the top; the combination forces multiplicities for everything below.
-    A new monomial's multiplicity is the maximum of its forced
-    multiplicities over the nodes.  A forced dominant monomial other than m
-    refutes the single-dominant hypothesis and is certified via the
-    generation process, witnessed by that monomial if the process reaches
-    it, else by the first dominant one it generates.  Every other
-    inconclusive exit (a spent budget or an inconsistent class) asks the
+    contract).  ``colored[i]`` holds, for each monomial not yet settled,
+    the part of its multiplicity that node-i expansions explain; its
+    multiplicity is the maximum of those parts over the nodes.  When mu
+    settles, its multiplicity less its node-i part is the coefficient of
+    mu's own node-i expansion, which must then be i-dominant; the expansion
+    adds that coefficient times each result's multiplicity to the result's
+    node-i part.  This is the greedy decomposition of mu's node-i class
+    into rank-1 simple characters from the top, which gives each top its
+    multiplicity less what higher tops explained: expansions never leave
+    the class, and every result has a strictly larger witness total than
+    its root, so it settles after every root above it has added its part.
+    A forced dominant monomial other than m refutes the single-dominant
+    hypothesis and is certified via the generation process, witnessed by
+    that monomial if the process reaches it, else by the first dominant
+    one it generates.  Every other inconclusive exit (a spent budget or a
+    non-i-dominant monomial left with a positive coefficient) asks the
     generation process for a second dominant monomial too, and reports
     Inconclusive only if there is none.  ``_expander`` lets
     ``check_small_empirical`` share one engine across a cell's closures.
@@ -444,89 +440,43 @@ def _fm_closure(c, m, budget, order_within_level, ex):
         raise ValueError("the closure starts from a dominant monomial")
     _check_nodes(c, m)
     mult = {m: 1}
-    wit = {m: AWitness({})}
-    canonical = {m: m}  # one object per monomial, shared by every table
-    settled = set()
-    class_members = {i: {} for i in c.nodes}  # sorted (total, key, monomial)
-    class_forced = {i: {} for i in c.nodes}
+    colored = {i: {} for i in c.nodes}  # node-i share of unsettled multiplicities
     steps = 0
 
     def tie_key(nu):
         return order_within_level(nu) if order_within_level else nu.key
 
-    def inconclusive(msg, dominant=None):
-        return dominant, steps, msg
-
     heap = [(0, tie_key(m), m)]
     while heap:
-        _, _, mu = heapq.heappop(heap)
-        if mu in settled:
-            continue
+        total, _, mu = heapq.heappop(heap)
         if steps >= budget:
-            return inconclusive("step budget exhausted")
+            return None, steps, "step budget exhausted"
         steps += 1
-        settled.add(mu)
-        w_mu = wit[mu]
-        rank = (w_mu.total(), mu.key, mu)  # fixed once mu settles
-        nodes_of_mu = {j for (j, _), _ in mu.key}
         for i in c.nodes:
-            ck = _cross_key(w_mu, i)
-            members = class_members[i].setdefault(ck, [])
-            bisect.insort(members, rank)
-            cached = class_forced[i].get(ck)
-            if cached is not None and cached.get(mu, 0) == mult[mu]:
-                continue  # this class already explains mu at its multiplicity
-            if i not in nodes_of_mu:
-                # no Y_i content: mu explains itself and forces nothing new
-                if cached is not None and cached.get(mu, 0) > mult[mu]:
-                    return inconclusive(
-                        f"node-{i} class over-explains {format_monomial(mu)}")
-                class_forced[i].setdefault(ck, {})[mu] = mult[mu]
+            share = colored[i]
+            coeff = mult[mu] - share.pop(mu, 0)
+            if not coeff:
                 continue
-
-            rem = {nu: mult[nu] for _, _, nu in members}
-            forced = {}
-            for top in rem:
-                coeff = rem[top]
-                if coeff == 0:
+            if not mu.is_dominant([i]):
+                return None, steps, (f"node-{i} class leaves non-dominant "
+                                     f"{format_monomial(mu)} unexplained")
+            new = []
+            for nu, t, steps_tbl in ex.results(mu, i):
+                if not steps_tbl:
                     continue
-                if coeff < 0:
-                    return inconclusive(
-                        f"node-{i} class over-explains {format_monomial(top)}")
-                if not top.is_dominant([i]):
-                    return inconclusive(
-                        f"node-{i} class leaves non-dominant "
-                        f"{format_monomial(top)} unexplained")
-                w_top = wit[top]
-                for nu, t, steps_tbl in ex.results(top, i):
-                    nu = canonical.setdefault(nu, nu)
-                    forced[nu] = forced.get(nu, 0) + coeff * t
-                    if nu in rem:
-                        rem[nu] -= coeff * t
-                    if nu not in wit:
-                        wit[nu] = _witness_plus(w_top, steps_tbl)
-            if any(rem.values()):
-                return inconclusive(f"node-{i} class content not exhausted")
-            class_forced[i][ck] = forced
-
-            for nu in sorted(forced, key=lambda x: x.key):
-                f = forced[nu]
-                if nu in settled:
-                    if f != mult[nu]:
-                        return inconclusive(
-                            f"settled multiplicity of {format_monomial(nu)} "
-                            f"revised by node {i}")
-                    continue
+                f = share[nu] = share.get(nu, 0) + coeff * t
                 old = mult.get(nu, 0)
                 if f > old:
                     mult[nu] = f
-                if old == 0:
-                    heapq.heappush(heap, (wit[nu].total(), tie_key(nu), nu))
-                    if nu != m and nu.is_dominant():
-                        return inconclusive(
-                            "closure forces dominant monomial "
-                            f"{format_monomial(nu)} but the generation process "
-                            "found no replayable witness within budget", nu)
+                if not old:
+                    new.append((nu, total + sum(steps_tbl.values())))
+            for nu, nu_total in sorted(new, key=lambda r: r[0].key):
+                heapq.heappush(heap, (nu_total, tie_key(nu), nu))
+                if nu.is_dominant():
+                    return nu, steps, (
+                        "closure forces dominant monomial "
+                        f"{format_monomial(nu)} but the generation process "
+                        "found no replayable witness within budget")
 
     return SpecialnessReport(SPECIAL_FM_CONSISTENT, m,
                              qchar=QCharacter(mult, highest=m), steps=steps)

@@ -53,6 +53,14 @@ def test_qchar_not_special(capsys):
     assert lines[0] == "NotSpecial"
     assert lines[1] == "witness 2_2"
     assert any("-->" in line for line in lines[2:])
+    # the closure forces 1_-1; the process reaches it in two steps
+    code, out, _ = run(capsys, "qchar", "--g", "A2", "1_-1 1_1 2_-2")
+    assert code == 0
+    assert out.splitlines() == [
+        "NotSpecial",
+        "witness 1_-1",
+        "  1_-1 1_1 2_-2 --[2]--> 1_-1^2 1_1 2_0^-1",
+        "  1_-1^2 1_1 2_0^-1 --[1]--> 1_-1"]
 
 
 def test_qchar_json_round_trip(capsys):
@@ -110,7 +118,15 @@ def test_budget_exhaustion_exit_4(capsys):
     code, out, _ = run(capsys, "qchar", "--g", "A3", "2_-2 2_0 2_2",
                        "--fm-steps", "2")
     assert code == 4
-    assert out.splitlines()[0] == "Inconclusive"
+    assert out.splitlines() == ["Inconclusive", "step budget exhausted"]
+    # a forced dominant monomial the process cannot reach in one step
+    code, out, _ = run(capsys, "qchar", "--g", "A2", "1_-1 1_1 2_-2",
+                       "--process-steps", "1")
+    assert code == 4
+    assert out.splitlines() == [
+        "Inconclusive",
+        "closure forces dominant monomial 1_-1 but the generation process "
+        "found no replayable witness within budget"]
 
 
 @pytest.mark.parametrize("flag", ["--fm-steps", "--process-steps", "--enum-nodes"])

@@ -1,3 +1,4 @@
+import functools
 import heapq
 import random
 
@@ -341,6 +342,115 @@ def test_fm_mult_two_forced_by_overlap():
     rep = fm_algorithm(D4, Monomial.y(2, 0))
     mult2 = [m for m, t in rep.qchar.terms.items() if t == 2]
     assert mult2 == [parse_monomial("2_2 2_4^-1")]
+
+
+def _reference_closure(c, m, budget, order_within_level, ex, *,
+                       wit, expansions):
+    """The closure read off its class definition, in ``_fm_closure``'s
+    calling convention.  A node-i class is the settled monomials whose
+    witness against m agrees off node i.  After each settle, each class of
+    the settled monomial is decomposed greedily from the top into node-i
+    expansions; the decomposition must exhaust the class, and it forces
+    the multiplicity of every result not settled yet (a maximum over the
+    nodes).  ``wit`` caches witnesses against m, ``expansions`` node
+    expansions."""
+    assert order_within_level is None
+    classes = {}
+
+    def witness(nu):
+        if nu not in wit:
+            wit[nu] = divide_as_a_product(c, nu, m)
+        return wit[nu]
+
+    def expand(top, i):
+        if (top, i) not in expansions:
+            expansions[top, i] = expand_Li(c, top, i).terms
+        return expansions[top, i]
+
+    mult, steps = {m: 1}, 0
+    heap = [(0, m.key, m)]
+    while heap:
+        _, _, mu = heapq.heappop(heap)
+        if steps >= budget:
+            return None, steps, "step budget exhausted"
+        steps += 1
+        for i in c.nodes:
+            off = tuple(kv for kv in witness(mu).items() if kv[0][0] != i)
+            members = classes.setdefault((i, off), [])
+            members.append(mu)  # settles come in (total, key) order
+            rem = {nu: mult[nu] for nu in members}
+            forced = {}
+            for top in rem:
+                coeff = rem[top]
+                if coeff < 0:
+                    return None, steps, f"node-{i} over-explains"
+                if not coeff:
+                    continue
+                if not top.is_dominant([i]):
+                    return None, steps, (f"node-{i} class leaves non-dominant "
+                                         f"{format_monomial(top)} unexplained")
+                for nu, t in expand(top, i).items():
+                    forced[nu] = forced.get(nu, 0) + coeff * t
+                    if nu in rem:
+                        rem[nu] -= coeff * t
+            if any(rem.values()):
+                return None, steps, f"node-{i} class not exhausted"
+            for nu in sorted(forced.keys() - rem.keys(), key=lambda x: x.key):
+                old = mult.get(nu, 0)
+                mult[nu] = max(old, forced[nu])
+                if not old:
+                    heapq.heappush(heap, (witness(nu).total(), nu.key, nu))
+                    if nu.is_dominant():
+                        return nu, steps, (
+                            "closure forces dominant monomial "
+                            f"{format_monomial(nu)} but the generation process "
+                            "found no replayable witness within budget")
+    return expansion.SpecialnessReport(SPECIAL_FM_CONSISTENT, m,
+                                       qchar=QCharacter(mult, highest=m),
+                                       steps=steps)
+
+
+def test_closure_matches_class_decomposition(monkeypatch):
+    # seeded dominant starts.  A string of length 2 makes a second dominant
+    # monomial likely; two doubled strings at one node force two dominant
+    # monomials in one expansion, so the push order shows.  Process budget
+    # 1 leaves a forced dominant monomial in the diagnostic, 50 lets the
+    # process certify it.
+    seen = set()
+    for c in (A3, build_diagram("B", 3), build_diagram("G", 2), D4, A2_AFFINE):
+        rng = random.Random(f"closure {c.name}")
+        ex = _Expander(c)
+        expansions = {}
+        for n in range(6):
+            j, p = rng.choice(c.nodes), rng.randint(-3, 3)
+            r = c.r(j)
+            if n % 3 == 2:
+                e = {(j, p): 2, (j, p + 2 * r): 1,
+                     (j, p + 12 * r): 2, (j, p + 14 * r): 1}
+            else:
+                e = {(j, p): 1, (j, p + 2 * r): 1} if n % 3 else {}
+                for _ in range(rng.randint(1, 2)):
+                    key = (rng.choice(c.nodes), rng.randint(-3, 3))
+                    e[key] = e.get(key, 0) + rng.randint(1, 2)
+            m = Monomial(e)
+            # the closure does not read the process budget: run it once
+            reference = functools.cache(functools.partial(
+                _reference_closure, wit={}, expansions=expansions))
+            for budget in (3, 40, 400):
+                for process_budget in (1, 50):
+                    got = fm_algorithm(c, m, budget, process_budget,
+                                       _expander=ex).to_json()
+                    with monkeypatch.context() as patch:
+                        patch.setattr(expansion, "_fm_closure", reference)
+                        want = fm_algorithm(c, m, budget, process_budget,
+                                            _expander=ex).to_json()
+                    assert got == want
+                    seen.add((got["verdict"],
+                              " ".join(got.get("diagnostic", "").split()[:2])))
+    assert seen == {(SPECIAL_FM_CONSISTENT, ""), (NOT_SPECIAL, ""),
+                    (INCONCLUSIVE, "step budget"),
+                    (INCONCLUSIVE, "closure forces"),
+                    (INCONCLUSIVE, "node-2 class")}
 
 
 def test_thinness_predicate():
