@@ -25,12 +25,7 @@ from .expansion import (
     NOT_SPECIAL,
     fm_algorithm,
 )
-from .monomials import (
-    format_monomial,
-    monomial_to_json,
-    parse_monomial,
-    witness_to_json,
-)
+from .monomials import AWitness, Monomial, format_monomial, parse_monomial
 from .smallness import (
     DEFAULT_ENUM_NODES,
     Budgets,
@@ -62,8 +57,10 @@ def _env_default(name, fallback):
     return value
 
 
-def _add_common(p):
-    p.add_argument("--r", type=int, default=0, help="base spectral power (default 0)")
+def _add_common(p, r=False):
+    if r:
+        p.add_argument("--r", type=int, default=0,
+                       help="base spectral power (default 0)")
     p.add_argument("--fm-steps", type=int, default=None)
     p.add_argument("--process-steps", type=int, default=None)
     p.add_argument("--enum-nodes", type=int, default=None)
@@ -96,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", dest="k", type=int, required=True)
     p.add_argument("--empirical", action="store_true",
                    help="also run the character-level verification")
-    _add_common(p)
+    _add_common(p, r=True)
 
     p = sub.add_parser("qchar", help="character of a simple module via the "
                                      "Frenkel-Mukhin closure")
@@ -108,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", "--diagram", dest="g", required=True)
     p.add_argument("--i", dest="i", type=int, required=True)
     p.add_argument("--k", dest="k", type=int, required=True)
-    _add_common(p)
+    _add_common(p, r=True)
 
     p = sub.add_parser("verify-remarks",
                        help="replay the built-in non-smallness pipelines")
@@ -118,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", "--diagrams", dest="g", required=True,
                    help="comma list with ranges, e.g. 'A1..A4,D4'")
     p.add_argument("--kmax", type=int, required=True)
-    _add_common(p)
+    _add_common(p, r=True)
     return parser
 
 
@@ -142,15 +139,17 @@ def _parse_diagram_list(spec):
 
 
 def _json_text(doc) -> str:
-    """``json.dumps(doc, indent=2)``, byte for byte, without its slow path.
+    """``json.dumps(plain_json(doc), indent=2)``, byte for byte, without its
+    slow path.
 
     With ``indent`` set, CPython renders through its pure-Python encoder.
     Here containers are joined directly, scalars go through ``json.dumps``
-    and strings through the C escaper; a dict of plain ints (a monomial or
-    witness entry) is rendered once per depth and reused.
+    and strings through the C escaper.  A Monomial or AWitness is rendered
+    from its sorted key as the list of its factor objects, each factor
+    rendered once per depth and reused.
     """
     enc = json.encoder.encode_basestring_ascii
-    memo = {}
+    memo = {}  # (depth, field) -> {factor: rendered factor object}
 
     def block(opening, closing, items, pad):
         if not items:
@@ -158,22 +157,32 @@ def _json_text(doc) -> str:
         inner = "\n" + pad + "  "
         return opening + inner + ("," + inner).join(items) + "\n" + pad + closing
 
+    def factors(key, field, pad):
+        inner = pad + "  "
+        done = memo.setdefault((inner, field), {})
+        out = []
+        for f in key:
+            s = done.get(f)
+            if s is None:
+                (i, r), e = f
+                s = done[f] = block("{", "}", [f'"node": {json.dumps(i)}',
+                                               f'"power": {json.dumps(r)}',
+                                               f'"{field}": {json.dumps(e)}'], inner)
+            out.append(s)
+        return block("[", "]", out, pad)
+
     def text(v, pad):
         if isinstance(v, dict):
-            if v and all(type(x) is int for x in v.values()):
-                key = (pad, tuple(v.items()))
-                out = memo.get(key)
-                if out is None:
-                    out = memo[key] = block(
-                        "{", "}", [f"{enc(k)}: {json.dumps(x)}" for k, x in v.items()],
-                        pad)
-                return out
             inner = pad + "  "
             return block("{", "}", [f"{enc(k)}: {text(x, inner)}"
                                     for k, x in v.items()], pad)
         if isinstance(v, (list, tuple)):
             inner = pad + "  "
             return block("[", "]", [text(x, inner) for x in v], pad)
+        if isinstance(v, Monomial):
+            return factors(v.key, "exponent", pad)
+        if isinstance(v, AWitness):
+            return factors(v.key, "count", pad)
         return enc(v) if isinstance(v, str) else json.dumps(v)
 
     return text(doc, "")
@@ -197,7 +206,7 @@ def _cmd_classify(args):
         return EXIT_OK
     cell = check_small_empirical(c, args.i, args.k, args.r, _budgets(args))
     doc = {"schema": SCHEMA, "command": "classify"}
-    doc.update(cell.to_json())
+    doc.update(cell._doc())
     lines = [verdict,
              f"empirical: {cell.empirical.verdict} "
              f"({len(cell.empirical.entries)} dominant monomials, "
@@ -219,7 +228,7 @@ def _cmd_qchar(args):
     b = _budgets(args)
     rep = fm_algorithm(c, m, budget=b.fm_steps, process_budget=b.process_steps)
     doc = {"schema": SCHEMA, "command": "qchar", "diagram": c.name}
-    doc.update(rep.to_json())
+    doc.update(rep._doc())
     if rep.verdict == NOT_SPECIAL:
         lines = ["NotSpecial", f"witness {format_monomial(rep.witness)}"]
         for s in rep.chain:
@@ -230,7 +239,7 @@ def _cmd_qchar(args):
     if rep.verdict == INCONCLUSIVE:
         _emit(doc, args, ["Inconclusive", rep.diagnostic or ""])
         return EXIT_PARTIAL
-    _emit(doc, args, [rep.qchar.to_text()])
+    _emit(doc, args, [rep.qchar.to_text()] if args.format == "text" else [])
     return EXIT_OK
 
 
@@ -241,9 +250,7 @@ def _cmd_enumerate(args):
     doc = {"schema": SCHEMA, "command": "enumerate", "diagram": c.name,
            "node": args.i, "k": args.k, "r": args.r,
            "count": len(enum.entries), "partial": enum.partial,
-           "entries": [{"monomial": monomial_to_json(m),
-                        "text": format_monomial(m),
-                        "witness_table": witness_to_json(w)}
+           "entries": [{"monomial": m, "text": format_monomial(m), "witness_table": w}
                        for m, w in enum.entries]}
     lines = [f"{len(enum.entries)} dominant monomials"]
     lines += [format_monomial(m) for m, _ in enum.entries]
@@ -273,7 +280,7 @@ def _cmd_verify_remarks(args):
 def _cmd_sweep(args):
     cells = sweep(_parse_diagram_list(args.g), args.kmax, args.r, _budgets(args))
     doc = {"schema": SCHEMA, "command": "sweep", "kmax": args.kmax,
-           "cells": [cell.to_json() for cell in cells],
+           "cells": [cell._doc() for cell in cells],
            "all_agree": all(cell.agree for cell in cells)}
     lines = []
     partial = False

@@ -42,7 +42,7 @@ from .monomials import (
     a_monomial,
     format_monomial,
     monomial_from_json,
-    monomial_to_json,
+    plain_json,
 )
 
 SPECIAL_FM_CONSISTENT = "SpecialFMConsistent"
@@ -98,12 +98,13 @@ class QCharacter:
             parts.append(s if t == 1 else f"{t}*{s}")
         return " + ".join(parts) if parts else "0"
 
+    def _doc(self) -> dict:
+        return {"highest": self.highest,
+                "terms": [{"monomial": m, "multiplicity": t}
+                          for m, t in self.items_sorted()]}
+
     def to_json(self) -> dict:
-        return {
-            "highest": monomial_to_json(self.highest) if self.highest else None,
-            "terms": [{"monomial": monomial_to_json(m), "multiplicity": t}
-                      for m, t in self.items_sorted()],
-        }
+        return plain_json(self._doc())
 
     @classmethod
     def from_json(cls, data) -> "QCharacter":
@@ -233,10 +234,11 @@ class TraceStep:
     root: Monomial
     result: Monomial
 
+    def _doc(self) -> dict:
+        return {"node": self.node, "root": self.root, "result": self.result}
+
     def to_json(self) -> dict:
-        return {"node": self.node,
-                "root": monomial_to_json(self.root),
-                "result": monomial_to_json(self.result)}
+        return plain_json(self._doc())
 
 
 @dataclass
@@ -277,14 +279,11 @@ class GenerationTrace:
         return True
 
     def to_json(self) -> dict:
-        gen = []
-        for m in self.monomials():
-            gen.append({"monomial": monomial_to_json(m),
-                        "chain": [s.to_json() for s in self.chains[m]]})
-        return {"start": monomial_to_json(self.start),
-                "generated": gen,
-                "partial": self.partial,
-                "steps": self.steps}
+        return plain_json({
+            "start": self.start,
+            "generated": [{"monomial": m, "chain": [s._doc() for s in self.chains[m]]}
+                          for m in self.monomials()],
+            "partial": self.partial, "steps": self.steps})
 
 
 def _check_nodes(c: CartanData, m: Monomial):
@@ -372,18 +371,19 @@ class SpecialnessReport:
     steps: int = 0
     diagnostic: str | None = None
 
-    def to_json(self) -> dict:
-        out = {"verdict": self.verdict,
-               "subject": monomial_to_json(self.subject),
-               "steps": self.steps}
+    def _doc(self) -> dict:
+        out = {"verdict": self.verdict, "subject": self.subject, "steps": self.steps}
         if self.qchar is not None:
-            out["qchar"] = self.qchar.to_json()
+            out["qchar"] = self.qchar._doc()
         if self.witness is not None:
-            out["witness"] = monomial_to_json(self.witness)
-            out["chain"] = [s.to_json() for s in self.chain]
+            out["witness"] = self.witness
+            out["chain"] = [s._doc() for s in self.chain]
         if self.diagnostic:
             out["diagnostic"] = self.diagnostic
         return out
+
+    def to_json(self) -> dict:
+        return plain_json(self._doc())
 
 
 def fm_algorithm(c: CartanData, m: Monomial,

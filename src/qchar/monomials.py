@@ -26,18 +26,20 @@ from .cartan import CartanData
 class Monomial:
     """Sparse exponent map (node, power) -> nonzero integer.
 
-    Instances are immutable values: multiplication returns fresh objects,
-    zero exponents are never stored, and the canonical key (sorted item
-    tuple) doubles as hash input and deterministic tie-breaker.
+    Instances are immutable values: multiplication returns fresh objects
+    and zero exponents are never stored, so equality and hashing read the
+    exponent map itself.  The canonical key (the sorted item tuple, the
+    deterministic tie-breaker and rendering order) is sorted on first read
+    and cached; a product is never sorted unless its key is read.
     """
 
-    __slots__ = ("_e", "key", "_hash")
+    __slots__ = ("_e", "_key", "_hash")
 
     def __init__(self, exponents=None):
         e = {k: v for k, v in (exponents or {}).items() if v}
         self._e = e
-        self.key = tuple(sorted(e.items()))
-        self._hash = hash(self.key)
+        self._key = None
+        self._hash = hash(frozenset(e.items()))
 
     @classmethod
     def one(cls):
@@ -47,11 +49,19 @@ class Monomial:
     def y(cls, i, r, e=1):
         return cls({(i, r): e})
 
+    @property
+    def key(self):
+        """The sorted item tuple, sorted on first read."""
+        key = self._key
+        if key is None:
+            key = self._key = tuple(sorted(self._e.items()))
+        return key
+
     def __hash__(self):
         return self._hash
 
     def __eq__(self, other):
-        return isinstance(other, Monomial) and self.key == other.key
+        return isinstance(other, Monomial) and self._e == other._e
 
     def __mul__(self, other):
         a, b = self._e, other._e
@@ -66,8 +76,8 @@ class Monomial:
                 e.pop(k, None)
         m = Monomial.__new__(Monomial)
         m._e = e
-        m.key = tuple(sorted(e.items()))
-        m._hash = hash(m.key)
+        m._key = None
+        m._hash = hash(frozenset(e.items()))
         return m
 
     def inverse(self):
@@ -101,12 +111,13 @@ class Monomial:
     def is_dominant(self, nodes=None) -> bool:
         """True iff all stored exponents at the given nodes are nonnegative.
 
-        ``nodes=None`` checks every node (plain dominance).
+        ``nodes`` is a collection of nodes, ``None`` for every node (plain
+        dominance).
         """
-        if nodes is None:
-            return all(v >= 0 for v in self._e.values())
-        nodes = set(nodes)
-        return all(v >= 0 for (j, _), v in self._e.items() if j in nodes)
+        for (j, _), v in self._e.items():
+            if v < 0 and (nodes is None or j in nodes):
+                return False
+        return True
 
     def __repr__(self):
         return f"Monomial({format_monomial(self)!r})"
@@ -317,6 +328,17 @@ def monomial_from_json(data) -> Monomial:
 
 def witness_to_json(w: AWitness) -> list:
     return [{"node": i, "power": r, "count": x} for (i, r), x in w.items()]
+
+
+def plain_json(doc):
+    """A report document with each Monomial and AWitness in its JSON form."""
+    if isinstance(doc, dict):
+        return {k: plain_json(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [plain_json(v) for v in doc]
+    if isinstance(doc, Monomial):
+        return monomial_to_json(doc)
+    return witness_to_json(doc) if isinstance(doc, AWitness) else doc
 
 
 def witness_from_json(data) -> AWitness:

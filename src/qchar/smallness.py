@@ -38,9 +38,8 @@ from .monomials import (
     divide_as_a_product,
     format_monomial,
     kr_highest,
-    monomial_to_json,
     parse_monomial,
-    witness_to_json,
+    plain_json,
 )
 
 SMALL = "Small"
@@ -243,7 +242,7 @@ class SmallnessVerdict:
     empirical: EmpiricalRecord | None = None
     agree: bool | None = None
 
-    def to_json(self) -> dict:
+    def _doc(self) -> dict:
         out = {"diagram": self.diagram, "node": self.node, "k": self.k,
                "r": self.r, "theoretical": self.theoretical}
         if self.empirical is not None:
@@ -251,24 +250,23 @@ class SmallnessVerdict:
             witnesses = []
             for m in emp.not_special:
                 rep = emp.reports[m]
-                witnesses.append({
-                    "monomial": monomial_to_json(m),
-                    "witness": monomial_to_json(rep.witness),
-                    "chain": [s.to_json() for s in rep.chain],
-                })
+                witnesses.append({"monomial": m, "witness": rep.witness,
+                                  "chain": [s._doc() for s in rep.chain]})
             out["empirical"] = {
                 "dominant_count": len(emp.entries),
-                "dominant": [{"monomial": monomial_to_json(m),
-                              "witness_table": witness_to_json(w)}
+                "dominant": [{"monomial": m, "witness_table": w}
                              for m, w in emp.entries],
                 "witnesses": witnesses,
-                "undetermined": [monomial_to_json(m) for m in emp.undetermined],
-                "no_candidate": [monomial_to_json(m) for m in emp.no_candidate],
+                "undetermined": emp.undetermined,
+                "no_candidate": emp.no_candidate,
                 "partial_enumeration": emp.partial_enumeration,
                 "verdict": emp.verdict,
             }
             out["agree"] = self.agree
         return out
+
+    def to_json(self) -> dict:
+        return plain_json(self._doc())
 
 
 def no_candidate_entries(enum: Enumeration) -> list:

@@ -4,9 +4,20 @@ import sys
 
 import pytest
 
+from qchar.cartan import build_diagram
 from qchar.cli import _json_text, main
-from qchar.expansion import QCharacter
-from qchar.monomials import monomial_from_json, parse_monomial
+from qchar.expansion import QCharacter, SpecialnessReport, fm_algorithm
+from qchar.monomials import (
+    AWitness,
+    Monomial,
+    kr_highest,
+    monomial_from_json,
+    monomial_to_json,
+    parse_monomial,
+    plain_json,
+    witness_to_json,
+)
+from qchar.smallness import Budgets, check_small_empirical, enumerate_dominant_below
 
 
 def run(capsys, *argv):
@@ -114,6 +125,20 @@ def test_bad_input_exit_2(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["qchar", "--g", "A2", "1_0", "--r", "3"], 2),
+    (["verify-remarks", "--r", "3"], 2),
+    (["classify", "--g", "A2", "--i", "1", "--k", "1", "--r", "3"], 0),
+    (["enumerate", "--g", "A2", "--i", "1", "--k", "2", "--r", "3"], 0),
+    (["sweep", "--g", "A1", "--kmax", "1", "--r", "3"], 0),
+])
+def test_r_only_where_read(capsys, argv, code):
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    if code:
+        assert out == "" and "unrecognized arguments: --r 3" in err
+
+
 def test_budget_exhaustion_exit_4(capsys):
     code, out, _ = run(capsys, "qchar", "--g", "A3", "2_-2 2_0 2_2",
                        "--fm-steps", "2")
@@ -194,7 +219,7 @@ def test_verify_remarks_json(capsys):
         "sl4-interior-string", "fork-d4-leaf-level-4", "triangle-cycle-level-3"]
 
 
-def test_json_text_matches_json_dumps():
+def test_json_text_matches_json_dumps(capsys):
     entry = {"node": 1, "power": -3, "exponent": 2}
     doc = {"schema": "qchar/1", "empty": {}, "none": [], "flag": True,
            "off": False, "missing": None, "ratio": 0.25, "big": 10 ** 20,
@@ -204,6 +229,40 @@ def test_json_text_matches_json_dumps():
            "bools": [{"a": 1, "b": True}, {"a": 1, "b": 1}]}  # True == 1
     assert _json_text(doc) == json.dumps(doc, indent=2)
     assert _json_text([]) == "[]" and _json_text(7) == "7"
+
+    # report documents keep their monomials and witnesses for the writer
+    A3, D4 = build_diagram("A", 3), build_diagram("D", 4)
+    consistent = fm_algorithm(D4, kr_highest(D4, 2, 2, 0))
+    assert max(consistent.qchar.terms.values()) > 1
+    not_special = fm_algorithm(A3, parse_monomial("1_1 3_1 2_4"))
+    assert not_special.verdict == "NotSpecial" and not_special.chain
+    inconclusive = fm_algorithm(A3, parse_monomial("2_-2 2_0 2_2"), budget=2)
+    assert inconclusive.verdict == "Inconclusive"
+    cell = check_small_empirical(A3, 2, 3, 0, Budgets(fm_steps=12, process_steps=50))
+    emp = cell.empirical
+    assert emp.not_special and emp.undetermined and emp.no_candidate
+    odd = parse_monomial("1_-3^-12 2_5^10 3_0")
+    hand = SpecialnessReport("SpecialFMConsistent", Monomial.one(), steps=1,
+                             qchar=QCharacter({Monomial.one(): 11, odd: 10},
+                                              highest=Monomial.one()))
+    reports = [consistent, consistent.qchar, not_special, not_special.chain[0],
+               inconclusive, cell, hand, hand.qchar]
+    for obj in reports:
+        assert _json_text(obj._doc()) == json.dumps(obj.to_json(), indent=2)
+    mixed = {"m": [Monomial.one(), odd, [odd, {"w": AWitness({(2, -4): 11})}]],
+             "w": AWitness({}), "deep": [[[odd]]]}
+    assert _json_text(mixed) == json.dumps(plain_json(mixed), indent=2)
+
+    # the enumerate document
+    code, out, _ = run(capsys, "enumerate", "--g", "D4", "--i", "2", "--k", "3",
+                       "--r", "-1", "--format", "json")
+    enum = enumerate_dominant_below(D4, 2, 3, -1)
+    doc = {"schema": "qchar/1", "command": "enumerate", "diagram": "D4",
+           "node": 2, "k": 3, "r": -1, "count": len(enum.entries), "partial": False,
+           "entries": [{"monomial": monomial_to_json(m), "text": str(m),
+                        "witness_table": witness_to_json(w)}
+                       for m, w in enum.entries]}
+    assert code == 0 and out == json.dumps(doc, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -38,6 +39,53 @@ def test_multiplication_commutes_and_cancels():
     a = parse_monomial("1_0 2_5^-2")
     b = parse_monomial("2_5^2 3_1")
     assert a * b == b * a == parse_monomial("1_0 3_1")
+
+
+def _equal_routes(rng, exps):
+    """Monomials equal to Monomial(exps), each built a different way."""
+    items = list(exps.items())
+    rng.shuffle(items)
+    cut = rng.randint(0, len(items))
+    a, b = Monomial(dict(items[:cut])), Monomial(dict(items[cut:]))
+    z = Monomial({(rng.randint(1, 4), rng.randint(-6, 6)): rng.randint(1, 3)})
+    m = Monomial(exps)
+    return [Monomial(dict(items)),
+            a * b, b * a,
+            (a * z) * (b * z.inverse()),
+            m * a * a.inverse(),
+            m.inverse().inverse(),
+            m ** 1, (m ** -1) ** -1 * Monomial.one(),
+            (m ** 3) * (m ** -2),
+            parse_monomial(format_monomial(m))]
+
+
+def test_equal_monomials_hash_and_compare_alike():
+    rng = random.Random(20261018)
+    for trial in range(400):
+        exps = {(rng.randint(1, 4), rng.randint(-6, 6)):
+                rng.choice([-12, -2, -1, 1, 3, 10]) for _ in range(rng.randint(0, 8))}
+        want = tuple(sorted(exps.items()))
+        routes = _equal_routes(rng, exps)
+        read_first = trial % 2 == 0
+        for m in routes:
+            if read_first or rng.random() < 0.3:
+                assert m.key == want
+        table = {}
+        for n, m in enumerate(routes):
+            table.setdefault(m, n)
+        assert list(table.values()) == [0]
+        first = routes[0]
+        for m in routes:
+            assert m == first and hash(m) == hash(first) and table[m] == 0
+            assert m.key == want and m.key is m.key
+        other = first * Monomial.y(5, 0)
+        assert other != first and other not in table
+        # a product that cancels to the identity
+        one = first * first.inverse()
+        assert one == Monomial.one() and hash(one) == hash(Monomial.one())
+        assert one.is_identity() and one.key == ()
+    assert Monomial({(1, 0): 0}) == Monomial.one()
+    assert Monomial.y(1, 0) != ((1, 0), 1) and Monomial.y(1, 0) != Monomial.y(1, 0).key
 
 
 def test_a_monomial_simply_laced():
