@@ -188,11 +188,12 @@ def _json_text(doc) -> str:
     return text(doc, "")
 
 
-def _emit(doc, args, text_lines):
+def _emit(args, doc, lines):
+    """Print ``doc()`` as JSON or ``lines()`` as text, building only that one."""
     if args.format == "json":
-        print(_json_text(doc))
+        print(_json_text(doc()))
     else:
-        for line in text_lines:
+        for line in lines():
             print(line)
 
 
@@ -200,22 +201,22 @@ def _cmd_classify(args):
     c = parse_diagram(args.g)
     verdict = classify(c, args.i, args.k)
     if not args.empirical:
-        _emit({"schema": SCHEMA, "command": "classify", "diagram": c.name,
-               "node": args.i, "k": args.k, "theoretical": verdict},
-              args, [verdict])
+        _emit(args, lambda: {"schema": SCHEMA, "command": "classify",
+                             "diagram": c.name, "node": args.i, "k": args.k,
+                             "theoretical": verdict},
+              lambda: [verdict])
         return EXIT_OK
     cell = check_small_empirical(c, args.i, args.k, args.r, _budgets(args))
-    doc = {"schema": SCHEMA, "command": "classify"}
-    doc.update(cell._doc())
-    lines = [verdict,
-             f"empirical: {cell.empirical.verdict} "
-             f"({len(cell.empirical.entries)} dominant monomials, "
-             f"{len(cell.empirical.not_special)} not special, "
-             f"{len(cell.empirical.undetermined)} undetermined, "
-             f"{len(cell.empirical.no_candidate)} no candidate)",
-             f"agree: {'yes' if cell.agree else 'no'}"]
-    _emit(doc, args, lines)
-    if cell.empirical.partial_enumeration or cell.empirical.undetermined:
+    emp = cell.empirical
+    _emit(args, lambda: {"schema": SCHEMA, "command": "classify", **cell._doc()},
+          lambda: [verdict,
+                   f"empirical: {emp.verdict} "
+                   f"({len(emp.entries)} dominant monomials, "
+                   f"{len(emp.not_special)} not special, "
+                   f"{len(emp.undetermined)} undetermined, "
+                   f"{len(emp.no_candidate)} no candidate)",
+                   f"agree: {'yes' if cell.agree else 'no'}"])
+    if emp.partial_enumeration or emp.undetermined:
         return EXIT_PARTIAL
     return EXIT_OK if cell.agree else EXIT_MISMATCH
 
@@ -227,73 +228,73 @@ def _cmd_qchar(args):
         raise DiagramError(f"monomial {format_monomial(m)} is not dominant")
     b = _budgets(args)
     rep = fm_algorithm(c, m, budget=b.fm_steps, process_budget=b.process_steps)
-    doc = {"schema": SCHEMA, "command": "qchar", "diagram": c.name}
-    doc.update(rep._doc())
-    if rep.verdict == NOT_SPECIAL:
-        lines = ["NotSpecial", f"witness {format_monomial(rep.witness)}"]
-        for s in rep.chain:
-            lines.append(f"  {format_monomial(s.root)} --[{s.node}]--> "
-                         f"{format_monomial(s.result)}")
-        _emit(doc, args, lines)
-        return EXIT_OK
-    if rep.verdict == INCONCLUSIVE:
-        _emit(doc, args, ["Inconclusive", rep.diagnostic or ""])
-        return EXIT_PARTIAL
-    _emit(doc, args, [rep.qchar.to_text()] if args.format == "text" else [])
-    return EXIT_OK
+
+    def lines():
+        if rep.verdict == NOT_SPECIAL:
+            return ["NotSpecial", f"witness {format_monomial(rep.witness)}"] + [
+                f"  {format_monomial(s.root)} --[{s.node}]--> "
+                f"{format_monomial(s.result)}" for s in rep.chain]
+        if rep.verdict == INCONCLUSIVE:
+            return ["Inconclusive", rep.diagnostic or ""]
+        return [rep.qchar.to_text()]
+
+    _emit(args, lambda: {"schema": SCHEMA, "command": "qchar", "diagram": c.name,
+                         **rep._doc()}, lines)
+    return EXIT_PARTIAL if rep.verdict == INCONCLUSIVE else EXIT_OK
 
 
 def _cmd_enumerate(args):
     c = parse_diagram(args.g)
     b = _budgets(args)
     enum = enumerate_dominant_below(c, args.i, args.k, args.r, budget=b.enum_nodes)
-    doc = {"schema": SCHEMA, "command": "enumerate", "diagram": c.name,
-           "node": args.i, "k": args.k, "r": args.r,
-           "count": len(enum.entries), "partial": enum.partial,
-           "entries": [{"monomial": m, "text": format_monomial(m), "witness_table": w}
-                       for m, w in enum.entries]}
-    lines = [f"{len(enum.entries)} dominant monomials"]
-    lines += [format_monomial(m) for m, _ in enum.entries]
-    if enum.partial:
-        lines.append("WARNING: enumeration budget exhausted (partial)")
-    _emit(doc, args, lines)
+    _emit(args, lambda: {
+        "schema": SCHEMA, "command": "enumerate", "diagram": c.name,
+        "node": args.i, "k": args.k, "r": args.r,
+        "count": len(enum.entries), "partial": enum.partial,
+        "entries": [{"monomial": m, "text": format_monomial(m), "witness_table": w}
+                    for m, w in enum.entries]},
+        lambda: [f"{len(enum.entries)} dominant monomials",
+                 *(format_monomial(m) for m, _ in enum.entries),
+                 *(["WARNING: enumeration budget exhausted (partial)"]
+                   if enum.partial else [])])
     return EXIT_PARTIAL if enum.partial else EXIT_OK
 
 
 def _cmd_verify_remarks(args):
     results = verify_counterexamples(_budgets(args))
-    doc = {"schema": SCHEMA, "command": "verify-remarks",
-           "results": [{"name": r.name, "passed": r.passed, "details": r.details}
-                       for r in results],
-           "passed": sum(r.passed for r in results),
-           "total": len(results)}
-    lines = []
-    for r in results:
-        lines.append(f"{'PASS' if r.passed else 'FAIL'} {r.name}")
-        if not r.passed:
-            lines += [f"  {d}" for d in r.details]
-    lines.append(f"{doc['passed']}/{doc['total']} replays passed")
-    _emit(doc, args, lines)
-    return EXIT_OK if doc["passed"] == doc["total"] else EXIT_MISMATCH
+    passed = sum(r.passed for r in results)
+
+    def lines():
+        out = []
+        for r in results:
+            out.append(f"{'PASS' if r.passed else 'FAIL'} {r.name}")
+            if not r.passed:
+                out += [f"  {d}" for d in r.details]
+        return out + [f"{passed}/{len(results)} replays passed"]
+
+    _emit(args, lambda: {
+        "schema": SCHEMA, "command": "verify-remarks",
+        "results": [{"name": r.name, "passed": r.passed, "details": r.details}
+                    for r in results],
+        "passed": passed, "total": len(results)}, lines)
+    return EXIT_OK if passed == len(results) else EXIT_MISMATCH
 
 
 def _cmd_sweep(args):
     cells = sweep(_parse_diagram_list(args.g), args.kmax, args.r, _budgets(args))
-    doc = {"schema": SCHEMA, "command": "sweep", "kmax": args.kmax,
-           "cells": [cell._doc() for cell in cells],
-           "all_agree": all(cell.agree for cell in cells)}
-    lines = []
-    partial = False
-    for cell in cells:
-        emp = cell.empirical
-        lines.append(f"{cell.diagram} i={cell.node} k={cell.k}: "
-                     f"theoretical={cell.theoretical} empirical={emp.verdict} "
-                     f"agree={'yes' if cell.agree else 'no'}")
-        partial = partial or emp.partial_enumeration or bool(emp.undetermined)
-    lines.append("all cells agree" if doc["all_agree"] else "DISAGREEMENT found")
-    _emit(doc, args, lines)
-    if not doc["all_agree"]:
+    all_agree = all(cell.agree for cell in cells)
+    _emit(args, lambda: {"schema": SCHEMA, "command": "sweep", "kmax": args.kmax,
+                         "cells": [cell._doc() for cell in cells],
+                         "all_agree": all_agree},
+          lambda: [f"{cell.diagram} i={cell.node} k={cell.k}: "
+                   f"theoretical={cell.theoretical} "
+                   f"empirical={cell.empirical.verdict} "
+                   f"agree={'yes' if cell.agree else 'no'}" for cell in cells]
+          + ["all cells agree" if all_agree else "DISAGREEMENT found"])
+    if not all_agree:
         return EXIT_MISMATCH
+    partial = any(cell.empirical.partial_enumeration or cell.empirical.undetermined
+                  for cell in cells)
     return EXIT_PARTIAL if partial else EXIT_OK
 
 

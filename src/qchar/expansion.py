@@ -132,26 +132,16 @@ def expand_Li_steps(c: CartanData, m: Monomial, i) -> dict:
         c0 = s % ri
         classes.setdefault(c0, {})[(s - c0) // ri] = e
 
-    combos = [({}, 1)]
-    for c0 in sorted(classes):
-        char = sl2.simple_qchar_sl2(classes[c0])
-        opts = [({(i, c0 + ri * p): x for p, x in table}, t)
-                for table, t in sorted(char.items())]
-        merged = []
-        for s1, t1 in combos:
-            for s2, t2 in opts:
-                s = dict(s1)
-                s.update(s2)  # residue classes use disjoint powers
-                merged.append((s, t1 * t2))
-        combos = merged
-
+    chars = [{tuple((c0 + ri * p, x) for p, x in table): t
+              for table, t in sl2.simple_qchar_sl2(classes[c0]).items()}
+             for c0 in sorted(classes)]
     out = {}
-    for steps, t in combos:
+    for table, t in sl2.product(chars).items():
+        steps = {(i, p): x for p, x in table}
         mm = m
-        for (_, p), x in steps.items():
+        for p, x in table:
             mm = mm * (a_monomial(c, i, p) ** (-x))
-        prev = out.get(mm)
-        out[mm] = (t if prev is None else prev[0] + t, steps)
+        out[mm] = (t, steps)  # distinct tables give distinct monomials
     return out
 
 
@@ -169,13 +159,14 @@ class _Expander:
     """Node-i expansions on one diagram, computed once per shape.
 
     ``expand_Li_steps`` reads a root only through its node-i restriction,
-    and shifting that restriction by a multiple of r_i shifts every step
-    table and every root-step product by the same amount.  A restriction's
-    shape is the restriction shifted down by ``base = r_i * (min power //
-    r_i)``.  The first restriction of a shape is expanded once, as a bare
-    node-i monomial, into templates ``(delta, multiplicity, step table)``
-    with ``result = root * delta``; any other restriction of that shape
-    gets them shifted by the difference of the bases.  Each restriction
+    and shifting that restriction by a multiple of r_i shifts every
+    root-step product by the same amount.  A restriction's shape is the
+    restriction shifted down by ``base = r_i * (min power // r_i)``.  The
+    first restriction of a shape is expanded once, as a bare node-i
+    monomial, into templates ``(delta, multiplicity, total)`` with
+    ``result = root * delta`` and ``total`` the number of root steps from
+    root to result; any other restriction of that shape gets them with
+    ``delta`` shifted by the difference of the bases.  Each restriction
     keeps its templates, so a call costs one product per result other than
     the root itself and builds no root monomial.
     """
@@ -202,22 +193,21 @@ class _Expander:
             if first is None:
                 bare = Monomial({(i, r): e for r, e in restr})
                 inv = bare.inverse()
-                tpl = [(mm * inv, t, steps) for mm, (t, steps)
+                tpl = [(mm * inv, t, sum(steps.values())) for mm, (t, steps)
                        in expand_Li_steps(self.c, bare, i).items()]
                 self._shapes[shape] = (base, tpl)
             else:
                 d = base - first[0]
                 tpl = [(Monomial({(j, r + d): e for (j, r), e in delta.key}), t,
-                        {(j, p + d): x for (j, p), x in steps.items()})
-                       for delta, t, steps in first[1]]
+                        total) for delta, t, total in first[1]]
             self._exact[key] = tpl
         return tpl
 
     def results(self, root: Monomial, i):
-        """``(monomial, multiplicity, step table)`` of each result of the
+        """``(monomial, multiplicity, root-step total)`` of each result of the
         node-i expansion of ``root``, in the order of ``expand_Li_steps``."""
-        for delta, t, steps in self._templates(root, i):
-            yield (root * delta if steps else root), t, steps
+        for delta, t, total in self._templates(root, i):
+            yield (root * delta if total else root), t, total
 
     def occurs(self, root: Monomial, i, nu: Monomial) -> bool:
         """Whether ``nu`` occurs in the node-i expansion of ``root``."""
@@ -331,8 +321,8 @@ def generate_process(c: CartanData, m: Monomial,
         for i in c.nodes:
             if not mu.is_dominant([i]):
                 continue
-            results = [(canonical.setdefault(nu, nu), steps_tbl)
-                       for nu, _, steps_tbl in ex.results(mu, i) if steps_tbl]
+            results = [(canonical.setdefault(nu, nu), nu_steps)
+                       for nu, _, nu_steps in ex.results(mu, i) if nu_steps]
             blocked = mu in covered[i]
             covered[i].update(nu for nu, _ in results)
             if blocked:
@@ -342,11 +332,11 @@ def generate_process(c: CartanData, m: Monomial,
                 stop = True
                 break
             steps += 1
-            for nu, steps_tbl in sorted(results, key=lambda r: r[0].key):
+            for nu, nu_steps in sorted(results, key=lambda r: r[0].key):
                 if nu in chains:
                     continue
                 chains[nu] = chains[mu] + (TraceStep(i, mu, nu),)
-                heapq.heappush(heap, (total + sum(steps_tbl.values()), nu.key, nu))
+                heapq.heappush(heap, (total + nu_steps, nu.key, nu))
                 if stop_on_dominant and nu.is_dominant():
                     stop = True
             if stop:
@@ -461,15 +451,15 @@ def _fm_closure(c, m, budget, order_within_level, ex):
                 return None, steps, (f"node-{i} class leaves non-dominant "
                                      f"{format_monomial(mu)} unexplained")
             new = []
-            for nu, t, steps_tbl in ex.results(mu, i):
-                if not steps_tbl:
+            for nu, t, nu_steps in ex.results(mu, i):
+                if not nu_steps:
                     continue
                 f = share[nu] = share.get(nu, 0) + coeff * t
                 old = mult.get(nu, 0)
                 if f > old:
                     mult[nu] = f
                 if not old:
-                    new.append((nu, total + sum(steps_tbl.values())))
+                    new.append((nu, total + nu_steps))
             for nu, nu_total in sorted(new, key=lambda r: r[0].key):
                 heapq.heappush(heap, (nu_total, tie_key(nu), nu))
                 if nu.is_dominant():

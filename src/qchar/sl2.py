@@ -21,7 +21,7 @@ from .monomials import Monomial, divide_as_a_product
 _A1 = build_diagram("A", 1)
 
 
-def _product(chars) -> dict:
+def product(chars) -> dict:
     """Product of step-keyed characters: tables add, multiplicities multiply."""
     out = {(): 1}
     for char in chars:
@@ -59,7 +59,7 @@ def standard_qchar_sl2(k: int, c: int) -> dict:
     """
     if k < 1:
         raise ValueError("string length must be >= 1")
-    return _product(kr_qchar_sl2(1, c + k - 1 - 2 * t) for t in range(k))
+    return product(kr_qchar_sl2(1, c + k - 1 - 2 * t) for t in range(k))
 
 
 def in_special_position(k1: int, c1: int, k2: int, c2: int) -> bool:
@@ -101,7 +101,7 @@ def simple_qchar_sl2(m: dict) -> dict:
     """Character of the simple module with highest monomial m (m dominant):
     the product of string characters over a normal writing of m.
     """
-    return _product(kr_qchar_sl2(k, c) for k, c in normal_writing(m))
+    return product(kr_qchar_sl2(k, c) for k, c in normal_writing(m))
 
 
 def sl2_divide(target: dict, source: dict):

@@ -20,7 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cartan import CartanData, DiagramError, classify_nodes, graph_distance
+from .cartan import (
+    CartanData,
+    DiagramError,
+    classify_nodes,
+    graph_distance,
+    parse_diagram,
+)
 from .expansion import (
     DEFAULT_FM_STEPS,
     DEFAULT_PROCESS_STEPS,
@@ -34,7 +40,6 @@ from .monomials import (
     AWitness,
     Monomial,
     a_exponents,
-    a_monomial,
     divide_as_a_product,
     format_monomial,
     kr_highest,
@@ -147,6 +152,21 @@ def enumerate_dominant_below(c: CartanData, i, k: int, r: int,
     visited = 0
     partial = False
 
+    def shift(st, n):
+        """Add n times a cell's exponents: n = -1 applies one count and
+        n = counts[idx] undoes them (n * ae != 0, so w = 0 keys exist)."""
+        for key, ae in st:
+            w = expo.get(key, 0) + n * ae
+            if w:
+                expo[key] = w
+                if w < 0:
+                    neg.add(key)
+                else:
+                    neg.discard(key)
+            else:
+                del expo[key]
+                neg.discard(key)
+
     def rec(idx):
         nonlocal visited, partial
         if visited >= budget:
@@ -166,32 +186,12 @@ def enumerate_dominant_below(c: CartanData, i, k: int, r: int,
         rec(idx + 1)
         st = steps[idx]
         for v in range(1, k + 1):
-            for key, ae in st:
-                w = expo.get(key, 0) - ae
-                if w:
-                    expo[key] = w
-                    if w < 0:
-                        neg.add(key)
-                    else:
-                        neg.discard(key)
-                else:
-                    del expo[key]
-                    neg.discard(key)
+            shift(st, -1)
             counts[idx] = v
             rec(idx + 1)
             if partial:
                 break
-        for key, ae in st:  # undo this cell's counts in one pass
-            w = expo.get(key, 0) + counts[idx] * ae
-            if w:
-                expo[key] = w
-                if w < 0:
-                    neg.add(key)
-                else:
-                    neg.discard(key)
-            else:
-                expo.pop(key, None)
-                neg.discard(key)
+        shift(st, counts[idx])
         counts[idx] = 0
 
     rec(0)
@@ -349,106 +349,53 @@ class ReplayResult:
     details: list
 
 
-def _check(details, ok, text):
-    details.append(("PASS " if ok else "FAIL ") + text)
-    return ok
+# name, diagram, node i, level k, base power r, start one root step below
+# the string, monomials the generation process must reach (the last one is
+# the closure's witness)
+_REMARKS = (
+    ("sl4-interior-string", "A3", 2, 3, 2, "1_1 3_1 2_4",
+     ("1_3^-1 2_2^2 2_4 3_3^-1", "2_2")),
+    ("fork-d4-leaf-level-4", "D4", 1, 4, 2, "1_3 1_5 2_0",
+     ("1_1 1_3 1_5 2_2^-1 3_1 4_1", "1_1 1_3 1_5 2_2 3_3^-1 4_3^-1",
+      "1_1 1_3^2 1_5 2_4^-1", "1_1 1_3")),
+    ("triangle-cycle-level-3", "A2~", 2, 3, 2, "1_1 0_1 2_4",
+     ("0_2 0_3^-1 1_2 1_3^-1 2_2^2 2_4", "0_2 1_2 2_2")),
+)
 
 
-def _replay_interior_string_sl4(budgets):
-    """Length-3 string at the middle node of the A_3 chain is not small."""
-    from .cartan import build_diagram
-    c = build_diagram("A", 3)
-    details = []
-    ok = True
-    m = parse_monomial("2_0 2_2 2_4")
-    mp = m * (a_monomial(c, 2, 1) ** -1)
-    ok &= _check(details, mp == parse_monomial("1_1 3_1 2_4"),
-                 "first descent is 1_1 3_1 2_4")
-    ok &= _check(details, mp.is_dominant(), "descent is dominant")
-    trace = generate_process(c, mp, budget=budgets.process_steps)
-    listed = [parse_monomial("1_3^-1 3_3^-1 2_2^2 2_4"), parse_monomial("2_2")]
-    for t in listed:
-        ok &= _check(details, t in trace,
-                     f"process generates {format_monomial(t)}")
-    ok &= _check(details, trace.replay(c), "generation chains replay")
-    rep = fm_algorithm(c, mp, budgets.fm_steps, budgets.process_steps)
-    ok &= _check(details, rep.verdict == NOT_SPECIAL,
-                 "closure flags the descent not special")
-    ok &= _check(details, rep.witness == parse_monomial("2_2"),
-                 "witness is 2_2")
-    cell = check_small_empirical(c, 2, 3, 2, budgets)
-    ok &= _check(details, cell.empirical.verdict == NOT_SMALL,
-                 "empirical verdict NotSmall")
-    ok &= _check(details, cell.theoretical == NOT_SMALL and cell.agree,
-                 "closed form agrees")
-    return ReplayResult("sl4-interior-string", bool(ok), details)
+def _replay(name, spec, i, k, r, start, reach, budgets):
+    """Replay one ``_REMARKS`` row: the level-k string at node i is not small.
 
-
-def _replay_fork_d4(budgets):
-    """Length-4 string at a leaf of D_4 is not small."""
-    from .cartan import build_diagram
-    c = build_diagram("D", 4)
-    details = []
-    ok = True
-    m = parse_monomial("1_3 1_5 2_0")
-    X = kr_highest(c, 1, 4, 2)
-    w = divide_as_a_product(c, m, X)
-    ok &= _check(details, w is not None and w.key == (((1, 0), 1),),
-                 "start sits one root step below the level-4 leaf string")
-    trace = generate_process(c, m, budget=budgets.process_steps)
-    listed = ["1_1 1_3 1_5 2_2^-1 3_1 4_1", "1_1 1_3 1_5 2_2 3_3^-1 4_3^-1",
-              "1_1 1_3^2 1_5 2_4^-1", "1_1 1_3"]
-    for t in listed:
-        ok &= _check(details, parse_monomial(t) in trace,
-                     f"process generates {t}")
-    ok &= _check(details, trace.replay(c), "generation chains replay")
-    rep = fm_algorithm(c, m, budgets.fm_steps, budgets.process_steps)
-    ok &= _check(details, rep.verdict == NOT_SPECIAL,
-                 "closure flags the start not special")
-    cell = check_small_empirical(c, 1, 4, 2, budgets)
-    ok &= _check(details, cell.empirical.verdict == NOT_SMALL,
-                 "empirical verdict NotSmall")
-    ok &= _check(details, classify(c, 1, 4) == NOT_SMALL and cell.agree,
-                 "closed form agrees")
-    return ReplayResult("fork-d4-leaf-level-4", bool(ok), details)
-
-
-def _replay_triangle_cycle(budgets):
-    """Length-3 string on the 3-cycle (affine A_2) is not small.
-
-    Simple modules of the triangle's quantum affinization are infinite
-    dimensional, so closures stop only at their step caps; the replay
-    caps its budgets well below the defaults (the listed monomials and
-    the non-specialness witness all sit within a few root steps).
+    Simple modules of an affine diagram's quantum affinization are infinite
+    dimensional, so closures stop only at their step caps; an affine row
+    caps its budgets at 400, well above what its listed monomials and its
+    witness need.
     """
-    from .cartan import build_diagram
-    c = build_diagram("A", 2, affine=True)
-    budgets = Budgets(fm_steps=min(budgets.fm_steps, 400),
-                      process_steps=min(budgets.process_steps, 400),
-                      enum_nodes=budgets.enum_nodes)
-    details = []
-    ok = True
-    m = parse_monomial("2_0 2_2 2_4")
-    mp = m * (a_monomial(c, 2, 1) ** -1)
-    ok &= _check(details, mp == parse_monomial("1_1 0_1 2_4"),
-                 "first descent is 1_1 0_1 2_4")
-    trace = generate_process(c, mp, budget=budgets.process_steps)
-    listed = [parse_monomial("1_3^-1 0_3^-1 1_2 0_2 2_2^2 2_4"),
-              parse_monomial("2_2 1_2 0_2")]
-    for t in listed:
-        ok &= _check(details, t in trace,
-                     f"process generates {format_monomial(t)}")
-    ok &= _check(details, trace.replay(c), "generation chains replay")
-    cell = check_small_empirical(c, 2, 3, 2, budgets)
-    ok &= _check(details, cell.empirical.verdict == NOT_SMALL,
-                 "empirical verdict NotSmall")
-    ok &= _check(details, classify(c, 2, 3) == NOT_SMALL and cell.agree,
-                 "closed form agrees")
-    return ReplayResult("triangle-cycle-level-3", bool(ok), details)
+    c = parse_diagram(spec)
+    if c.affine:
+        budgets = Budgets(min(budgets.fm_steps, 400),
+                          min(budgets.process_steps, 400), budgets.enum_nodes)
+    m = parse_monomial(start)
+    listed = [parse_monomial(t) for t in reach]
+    w = divide_as_a_product(c, m, kr_highest(c, i, k, r))
+    trace = generate_process(c, m, budget=budgets.process_steps)
+    rep = fm_algorithm(c, m, budgets.fm_steps, budgets.process_steps)
+    cell = check_small_empirical(c, i, k, r, budgets)
+    checks = [
+        (m.is_dominant(), f"start {format_monomial(m)} is dominant"),
+        (w is not None and w.total() == 1,
+         f"start sits one root step below the level-{k} string at node {i}"),
+        *((t in trace, f"process generates {format_monomial(t)}") for t in listed),
+        (trace.replay(c), "generation chains replay"),
+        (rep.verdict == NOT_SPECIAL, "closure flags the start not special"),
+        (rep.witness == listed[-1], f"witness is {format_monomial(listed[-1])}"),
+        (cell.empirical.verdict == NOT_SMALL, "empirical verdict NotSmall"),
+        (cell.agree, "closed form agrees"),
+    ]
+    return ReplayResult(name, all(ok for ok, _ in checks),
+                        [("PASS " if ok else "FAIL ") + text for ok, text in checks])
 
 
 def verify_counterexamples(budgets: Budgets = Budgets()) -> list:
-    """Replay the three built-in non-smallness pipelines end to end."""
-    return [_replay_interior_string_sl4(budgets),
-            _replay_fork_d4(budgets),
-            _replay_triangle_cycle(budgets)]
+    """Replay every built-in non-smallness row of ``_REMARKS`` end to end."""
+    return [_replay(*row, budgets) for row in _REMARKS]

@@ -132,7 +132,8 @@ def test_classify_nodes_e6():
 def test_d_distance_matches_definition():
     # d_i <= min over special nodes of d(i, s); equality on trees
     for c in (build_diagram("D", 5), build_diagram("E", 7),
-              build_diagram("D", 4, affine=True)):
+              build_diagram("D", 4, affine=True), build_diagram("E", 6, affine=True),
+              build_diagram("E", 7, affine=True), build_diagram("E", 8, affine=True)):
         nc = classify_nodes(c)
         specials = [s for s in c.nodes if nc.kind[s] == SPECIAL]
         assert specials

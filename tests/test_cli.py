@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from qchar import smallness
 from qchar.cartan import build_diagram
 from qchar.cli import _json_text, main
 from qchar.expansion import QCharacter, SpecialnessReport, fm_algorithm
@@ -198,6 +199,26 @@ def test_verify_remarks_command(capsys):
     lines = out.splitlines()
     assert lines[-1] == "3/3 replays passed"
     assert all(line.startswith("PASS") for line in lines[:-1])
+
+
+@pytest.mark.parametrize("reach, failed", [
+    # a listed monomial the generation process never reaches
+    (("1_3^-1 2_2^2 2_4 3_3^-1", "1_5", "2_2"), "FAIL process generates 1_5"),
+    # a generated monomial that is not the closure's witness
+    (("2_2", "1_3^-1 2_2^2 2_4 3_3^-1"), "FAIL witness is 1_3^-1 2_2^2 2_4 3_3^-1"),
+])
+def test_verify_remarks_failing_row_exit_3(capsys, monkeypatch, reach, failed):
+    row = ("sl4-interior-string", "A3", 2, 3, 2, "1_1 3_1 2_4", reach)
+    monkeypatch.setattr(smallness, "_REMARKS", (row,))
+    code, out, _ = run(capsys, "verify-remarks")
+    lines = out.splitlines()
+    assert code == 3
+    assert lines[0] == "FAIL sl4-interior-string"
+    assert lines[-1] == "0/1 replays passed"
+    details = lines[1:-1]
+    assert all(line.startswith(("  PASS ", "  FAIL ")) for line in details)
+    assert [line for line in details if "FAIL" in line] == [f"  {failed}"]
+    assert len(details) == 7 + len(reach)
 
 
 def test_module_entry_point_subprocess():

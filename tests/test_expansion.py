@@ -11,6 +11,7 @@ from qchar.expansion import (
     INCONCLUSIVE,
     NOT_SPECIAL,
     SPECIAL_FM_CONSISTENT,
+    GenerationTrace,
     QCharacter,
     TraceStep,
     _Expander,
@@ -134,6 +135,28 @@ def test_process_counter_example():
     for chain in trace.chains.values():
         for step in chain:
             assert step.root.is_dominant([step.node])
+
+
+@pytest.mark.parametrize("broken", [
+    None, "wrong root", "root not node-dominant", "result outside expansion",
+    "end is not its monomial"])
+def test_replay_checks_every_chain(broken):
+    # a genuine A2 trace from 1_0, plus one chain that breaks one rule
+    m, nu = parse_monomial("1_0"), parse_monomial("1_2^-1 2_1")
+    below = nu * a_monomial(A2, 1, 3) ** -1
+    bad = {
+        None: {},
+        # a genuine step, from a root other than the start
+        "wrong root": {parse_monomial("1_4^-1 2_3"): (
+            TraceStep(1, parse_monomial("1_2"), parse_monomial("1_4^-1 2_3")),)},
+        # nu has 1_2^-1, so it cannot root a node-1 step
+        "root not node-dominant": {below: (TraceStep(1, m, nu),
+                                           TraceStep(1, nu, below))},
+        "result outside expansion": {below: (TraceStep(1, m, below),)},
+        "end is not its monomial": {parse_monomial("2_1"): (TraceStep(1, m, nu),)},
+    }[broken]
+    trace = GenerationTrace(m, {m: (), nu: (TraceStep(1, m, nu),), **bad})
+    assert trace.replay(A2) is (broken is None)
 
 
 def test_process_fork_example():
@@ -529,7 +552,7 @@ def test_expander_matches_expand_li_steps(series, rank, affine):
         m = _random_i_dominant(rng, c, i)
         want = expand_Li_steps(c, m, i)
         got = list(ex.results(m, i))
-        assert got == [(mu, t, s) for mu, (t, s) in want.items()], \
+        assert got == [(mu, t, sum(s.values())) for mu, (t, s) in want.items()], \
             (format_monomial(m), i)
         for mu in want:
             assert ex.occurs(m, i, mu)
