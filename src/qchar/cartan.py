@@ -32,6 +32,10 @@ SPECIAL = "special"
 NEITHER = "neither"
 
 
+# powers, relative to A_{i,q^r}, of its Y_{j}^{-1} factors for C_{j,i} = -1, -2, -3
+_NEIGHBOR_POWERS = {-1: (0,), -2: (-1, 1), -3: (-2, 0, 2)}
+
+
 class DiagramError(ValueError):
     """Raised for unknown series, invalid ranks or malformed diagram specs."""
 
@@ -44,7 +48,8 @@ class CartanData:
     symmetric and q_i = q^{r_i}.
     """
 
-    __slots__ = ("name", "nodes", "cartan", "sym", "affine", "_adj", "_sig")
+    __slots__ = ("name", "nodes", "cartan", "sym", "affine", "_adj", "_sig",
+                 "_arows")
 
     def __init__(self, name, nodes, cartan, sym, affine=False):
         self.name = name
@@ -59,6 +64,7 @@ class CartanData:
         self._adj = {i: tuple(js) for i, js in adj.items()}
         self._sig = (self.name, self.nodes, tuple(sorted(self.cartan.items())),
                      tuple(sorted(self.sym.items())))
+        self._arows = {}
         self._validate()
 
     def _validate(self):
@@ -91,6 +97,27 @@ class CartanData:
 
     def degree(self, i) -> int:
         return len(self._adj[i])
+
+    def a_row(self, i) -> tuple:
+        """The root monomial A_{i,q^0} as ``((node, power), exponent)`` pairs.
+
+        The leading Y_{i,q^{r_i}} comes first and every other entry lies at
+        a lower power; A_{i,q^r} is the row with each power shifted by r.
+        Built on first use and kept.
+        """
+        row = self._arows.get(i)
+        if row is None:
+            ri = self.sym[i]
+            e = {(i, ri): 1, (i, -ri): 1}
+            for j in self._adj[i]:
+                cji = self.c(j, i)
+                powers = _NEIGHBOR_POWERS.get(cji)
+                if powers is None or powers[-1] >= ri:
+                    raise ValueError(f"unexpected Cartan entry C[{j},{i}] = {cji}")
+                for p in powers:
+                    e[(j, p)] = e.get((j, p), 0) - 1
+            row = self._arows[i] = tuple(e.items())
+        return row
 
     @property
     def simply_laced(self) -> bool:

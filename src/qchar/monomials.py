@@ -163,28 +163,9 @@ def is_thin_monomial(m: Monomial) -> bool:
     return all(-1 <= v <= 1 for _, v in m.items())
 
 
-def a_exponents(c: CartanData, i, r: int) -> dict:
-    """Exponent map (node, power) -> exponent of A_{i,q^r}, no zero entries."""
-    ri = c.r(i)
-    e = {(i, r - ri): 1, (i, r + ri): 1}
-    for j in c.neighbors(i):
-        cji = c.c(j, i)
-        if cji == -1:
-            powers = (r,)
-        elif cji == -2:
-            powers = (r - 1, r + 1)
-        elif cji == -3:
-            powers = (r - 2, r, r + 2)
-        else:
-            raise ValueError(f"unexpected Cartan entry C[{j},{i}] = {cji}")
-        for p in powers:
-            e[(j, p)] = e.get((j, p), 0) - 1
-    return e
-
-
 def a_monomial(c: CartanData, i, r: int) -> Monomial:
-    """The root monomial A_{i,q^r}."""
-    return Monomial(a_exponents(c, i, r))
+    """The root monomial A_{i,q^r}: the diagram's A-row of node i shifted by r."""
+    return Monomial({(j, r + p): ae for (j, p), ae in c.a_row(i)})
 
 
 def kr_highest(c: CartanData, i, k: int, r: int) -> Monomial:
@@ -224,7 +205,8 @@ class AWitness:
         """m * prod A_{i,q^r}^{-v}."""
         e = dict(m._e)
         for (i, r), x in self.key:
-            for kk, ae in a_exponents(c, i, r).items():
+            for (j, p), ae in c.a_row(i):
+                kk = (j, r + p)
                 e[kk] = e.get(kk, 0) - x * ae
         return Monomial(e)
 
@@ -241,12 +223,14 @@ class AWitness:
 def divide_as_a_product(c: CartanData, target: Monomial, source: Monomial):
     """Solve target = source * prod A_{i,q^r}^{-v} with all v >= 0.
 
-    Triangular elimination on the ratio: at the top active power S only the
-    leading Y_i of A_{i,q^{S-r_i}} can contribute, so the exponents there
-    force v_{i,S-r_i} = -u_{i,S}; subtract and recurse.  Algebraic
-    independence of the A's makes the table unique.  Returns None when the
-    ratio leaves the nonnegative A-lattice (a positive forced exponent, or
-    descent below the ratio's own support).
+    Triangular elimination on the ratio, bucketed by power and taken from
+    the top power down: at a power S only the leading Y_i of A_{i,q^{S-r_i}}
+    can contribute, since every other entry of that row lies strictly
+    below S, so the exponents there force v_{i,S-r_i} = -u_{i,S}; subtract
+    the row into the lower buckets and go on.  Algebraic independence of
+    the A's makes the table unique.  Returns None when the ratio leaves the
+    nonnegative A-lattice (a positive forced exponent, a factor below the
+    ratio's own support, or a residue left there).
     """
     work = dict(target._e)
     for kk, x in source._e.items():
@@ -257,25 +241,30 @@ def divide_as_a_product(c: CartanData, target: Monomial, source: Monomial):
             del work[kk]
     if not work:
         return AWitness({})
-    floor = min(r for (_, r) in work)
+    floor = min(p for _, p in work)
+    # a row reaches at most r_i below its A's power, which is >= floor
+    pad = max(c.sym.values())
+    lo = floor - pad
+    buckets = [{} for _ in range(max(p for _, p in work) - lo + 1)]
+    for (i, p), e in work.items():
+        buckets[p - lo][i] = e
     v = {}
-    while work:
-        top = max(r for (_, r) in work)
-        forced = [(i, e) for (i, r), e in work.items() if r == top]
-        for i, e in sorted(forced):
+    for s in range(len(buckets) - 1, pad - 1, -1):
+        for i, e in buckets[s].items():
+            if not e:
+                continue
             if e > 0:
                 return None
-            ri = c.r(i)
-            if top - ri < floor:
+            a = s - c.r(i)  # the forced factor's power, as a bucket index
+            if a < pad:
                 # any valid factor bottoms out inside the ratio's support
                 return None
-            v[(i, top - ri)] = v.get((i, top - ri), 0) - e
-            for kk, ae in a_exponents(c, i, top - ri).items():
-                w = work.get(kk, 0) + (-e) * ae
-                if w:
-                    work[kk] = w
-                else:
-                    work.pop(kk, None)
+            v[(i, a + lo)] = -e
+            for (j, p), ae in c.a_row(i)[1:]:
+                bucket = buckets[a + p]
+                bucket[j] = bucket.get(j, 0) - e * ae
+    if any(any(bucket.values()) for bucket in buckets[:pad]):
+        return None
     wit = AWitness(v)
     if wit.apply(c, source) != target:
         raise AssertionError("witness elimination out of step with multiplication")

@@ -39,7 +39,6 @@ from .expansion import (
 from .monomials import (
     AWitness,
     Monomial,
-    a_exponents,
     divide_as_a_product,
     format_monomial,
     kr_highest,
@@ -123,13 +122,28 @@ def enumerate_dominant_below(c: CartanData, i, k: int, r: int,
     """All dominant monomials m' <= X for X the level-k string at node i.
 
     Depth-first search over root-step tables supported on the locality box,
-    per-cell counts capped at k, scanning powers from the top down.  A
-    branch dies as soon as a negative exponent sits on a key that no
-    remaining cell can raise.  This is sound: A_{j,p}^{-1} raises
-    only the keys Y_{l,p} with l adjacent to j (the negative entries of
-    A_{j,p}) and lowers every other key it touches, so such an exponent
-    stays negative on every leaf below.  Every emitted monomial is
-    round-tripped through the witness solver.
+    per-cell counts capped at k, scanning powers from the top down.  The
+    exponents live in a list indexed by the box's keys (those of X and of
+    every cell's A-row), and a cell's step is a tuple of (position, change)
+    pairs.  A branch dies as soon as a negative exponent sits on a key that
+    no remaining cell can raise.  This is sound: A_{j,p}^{-1} raises only
+    the keys Y_{l,p} with l adjacent to j (the negative entries of A_{j,p})
+    and lowers every other key it touches, so such an exponent stays
+    negative on every leaf below.
+
+    The prune is a finalisation test.  ``check[idx]`` holds the keys that
+    cell idx-1 touches and that no cell from idx on raises.  A node at
+    depth idx has a live parent, whose negative keys were all raisable
+    from idx-1 on; a key that cell idx-1 does not touch keeps the parent's
+    exponent and, if negative, stays raisable from idx on.  So a node holds
+    a negative key that nothing below it raises exactly when some key in
+    ``check[idx]`` is negative, and this test kills the same nodes as
+    comparing every negative key with the keys raisable from idx on.  Each
+    child is counted in ``visited`` and then tested before the search
+    descends into it, so ``visited``, ``partial`` and the budget count
+    every node either test would reach.  At a leaf nothing is raisable, so
+    a live leaf is dominant.  Every emitted monomial is round-tripped
+    through the witness solver.
     """
     if not c.simply_laced:
         raise DiagramError("dominant-monomial enumeration is implemented for "
@@ -138,63 +152,62 @@ def enumerate_dominant_below(c: CartanData, i, k: int, r: int,
         raise DiagramError(f"node {i} not in diagram {c.name}")
     X = kr_highest(c, i, k, r)
     cells = _support_box(c, i, k, r)
-    steps = [tuple(a_exponents(c, j, p).items()) for j, p in cells]
-    # raisable[idx]: keys that some cell from idx on raises
-    raisable = [frozenset()]
-    for st in reversed(steps):
-        raisable.append(raisable[-1] | {key for key, ae in st if ae < 0})
-    raisable.reverse()
+    n = len(cells)
+    pos = {key: q for q, (key, _) in enumerate(X.items())}
+    steps = [tuple((pos.setdefault((l, p + d), len(pos)), -ae)
+                   for (l, d), ae in c.a_row(j)) for j, p in cells]
+    keys = list(pos)
+    expo = [X.u(*key) for key in keys]
+    # check[idx]: keys that cell idx-1 touches and no cell from idx on raises
+    check = [()] * (n + 1)
+    raised = set()
+    for idx in range(n, 0, -1):
+        st = steps[idx - 1]
+        check[idx] = tuple(q for q, _ in st if q not in raised)
+        raised.update(q for q, x in st if x > 0)
 
-    expo = dict(X.items())
-    neg = set()
-    counts = [0] * len(cells)
+    counts = [0] * n
     out = []
     visited = 0
     partial = False
 
-    def shift(st, n):
-        """Add n times a cell's exponents: n = -1 applies one count and
-        n = counts[idx] undoes them (n * ae != 0, so w = 0 keys exist)."""
-        for key, ae in st:
-            w = expo.get(key, 0) + n * ae
-            if w:
-                expo[key] = w
-                if w < 0:
-                    neg.add(key)
-                else:
-                    neg.discard(key)
-            else:
-                del expo[key]
-                neg.discard(key)
-
     def rec(idx):
         nonlocal visited, partial
-        if visited >= budget:
-            partial = True
-            return
-        visited += 1
-        if not neg <= raisable[idx]:
-            return
-        if idx == len(cells):
-            m = Monomial(expo)
-            wit = AWitness({cell: n for cell, n in zip(cells, counts) if n})
-            check = divide_as_a_product(c, m, X)
-            if check != wit:
+        if idx == n:
+            m = Monomial(dict(zip(keys, expo)))
+            wit = AWitness({cell: v for cell, v in zip(cells, counts) if v})
+            if divide_as_a_product(c, m, X) != wit:
                 raise AssertionError("enumeration witness failed round-trip")
             out.append((m, wit))
             return
-        rec(idx + 1)
-        st = steps[idx]
-        for v in range(1, k + 1):
-            shift(st, -1)
-            counts[idx] = v
-            rec(idx + 1)
-            if partial:
+        st, chk = steps[idx], check[idx + 1]
+        for v in range(k + 1):
+            if v:
+                for q, x in st:
+                    expo[q] += x
+                counts[idx] = v
+            if visited >= budget:
+                partial = True
                 break
-        shift(st, counts[idx])
-        counts[idx] = 0
+            visited += 1
+            for q in chk:
+                if expo[q] < 0:
+                    break
+            else:
+                rec(idx + 1)
+                if partial:
+                    break
+        v = counts[idx]
+        if v:
+            for q, x in st:
+                expo[q] -= v * x
+            counts[idx] = 0
 
-    rec(0)
+    if budget > 0:  # the root is X itself, counted and dominant
+        visited = 1
+        rec(0)
+    else:
+        partial = True
     out.sort(key=lambda ew: ew[0].key)
     return Enumeration(entries=out, partial=partial, visited=visited)
 

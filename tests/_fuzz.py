@@ -14,6 +14,9 @@ from qchar.monomials import (
 
 FUZZ_DIAGRAMS = [build_diagram("A", 2), build_diagram("A", 3),
                  build_diagram("D", 4), build_diagram("A", 2, affine=True)]
+# r_i = 2 or 3: an A-row reaches 2 or 3 powers below its leading Y
+MULTI_LACED = [build_diagram("B", 3), build_diagram("C", 3),
+               build_diagram("F", 4), build_diagram("G", 2)]
 
 
 def random_monomial(rng, c, size=4, span=5):
@@ -40,12 +43,12 @@ def random_right_negative(rng, c, factors=3):
     return m
 
 
-def run_witness_round_trip(cases=2500, seed=101):
+def run_witness_round_trip(cases=2500, seed=101, diagrams=FUZZ_DIAGRAMS):
     """target = source * prod A^{-v} must solve back to exactly v."""
     rng = random.Random(seed)
     checked = 0
     for _ in range(cases):
-        c = rng.choice(FUZZ_DIAGRAMS)
+        c = rng.choice(diagrams)
         source = random_monomial(rng, c)
         w = random_witness(rng, c)
         target = w.apply(c, source)
@@ -55,11 +58,11 @@ def run_witness_round_trip(cases=2500, seed=101):
     return checked
 
 
-def run_partial_order_axioms(cases=1500, seed=202):
+def run_partial_order_axioms(cases=1500, seed=202, diagrams=FUZZ_DIAGRAMS):
     rng = random.Random(seed)
     checked = 0
     for _ in range(cases):
-        c = rng.choice(FUZZ_DIAGRAMS)
+        c = rng.choice(diagrams)
         m0 = random_monomial(rng, c)
         w1 = random_witness(rng, c, size=3)
         w2 = random_witness(rng, c, size=3)

@@ -202,6 +202,17 @@ def test_divide_incomparable():
     assert divide_as_a_product(A2, m * a_monomial(A2, 1, 2), m) is None
 
 
+def test_divide_residue_below_the_ratio():
+    # eliminating from the top leaves an exponent below the ratio's lowest
+    # power, up to r_i = 3 powers down on G2
+    cases = [("A", 2, "1_3 2_2^-1 2_4^-2"), ("C", 3, "1_2^-1 2_1"),
+             ("B", 3, "1_4^-1 2_0"), ("C", 3, "2_4^-1 3_1"),
+             ("G", 2, "1_2 1_3^-2 2_0^-1")]
+    for series, rank, text in cases:
+        c = build_diagram(series, rank)
+        assert divide_as_a_product(c, parse_monomial(text), Monomial()) is None, text
+
+
 def test_witness_rejects_negative():
     with pytest.raises(ValueError):
         AWitness({(1, 0): -1})

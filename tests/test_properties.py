@@ -4,6 +4,7 @@ Each suite is a plain function over a seeded generator so the acceptance
 module can rerun them standalone."""
 
 from _fuzz import (
+    MULTI_LACED,
     run_partial_order_axioms,
     run_right_negativity,
     run_weight_bookkeeping,
@@ -21,6 +22,12 @@ def test_witness_round_trip_fuzz():
 
 def test_partial_order_axioms_fuzz():
     assert run_partial_order_axioms() >= 4000
+
+
+def test_witness_solver_fuzz_multi_laced():
+    # B3, C3, F4 and G2: rows whose lower entries sit 2 or 3 powers down
+    assert run_witness_round_trip(cases=4000, seed=111, diagrams=MULTI_LACED) == 4000
+    assert run_partial_order_axioms(cases=2000, seed=212, diagrams=MULTI_LACED) >= 6000
 
 
 def test_right_negativity_fuzz():

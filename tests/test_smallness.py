@@ -3,7 +3,7 @@ import functools
 import pytest
 from _enum_oracle import box_dominants
 
-from qchar.cartan import DiagramError, build_diagram
+from qchar.cartan import DiagramError, build_diagram, parse_diagram
 from qchar.expansion import NOT_SPECIAL, SPECIAL_FM_CONSISTENT, fm_algorithm
 from qchar.monomials import Monomial, a_monomial, kr_highest, parse_monomial
 from qchar.smallness import (
@@ -187,6 +187,41 @@ def test_partial_enumeration_is_a_subset():
         assert part.entries
         for m, w in part.entries:
             assert full[m] == w
+
+
+@pytest.mark.parametrize("name, rank, i, k, budget, expected", [
+    ("E", 6, 3, 5, 1, (0, 1, True)),
+    ("E", 6, 3, 5, 2, (0, 2, True)),
+    ("E", 6, 3, 5, 128_628, (1156, 128_628, True)),
+    ("E", 6, 3, 5, 128_629, (1156, 128_629, False)),
+    ("D", 4, 1, 1, 1, (1, 1, False)),
+])
+def test_enumerate_budget_edges(name, rank, i, k, budget, expected):
+    # (entries, visited, partial): the full E6 node 3, k = 5 search visits
+    # 128,629 nodes; at k = 1 the box is empty and the root is the leaf
+    enum = enumerate_dominant_below(build_diagram(name, rank), i, k, 0, budget=budget)
+    assert (len(enum.entries), enum.visited, enum.partial) == expected
+
+
+def test_enumerate_workload_visits_are_pinned():
+    # every node of D4, D5 and E6 at k = 4, 5: the benchmark's enumerate cells
+    total = sum(_complete(name, rank, i, k).visited
+                for name, rank in (("D", 4), ("D", 5), ("E", 6))
+                for i in build_diagram(name, rank).nodes for k in (4, 5))
+    assert total == 207_316
+
+
+def test_enumerate_matches_box_oracle_on_affine():
+    # A2~ is the triangle: not bipartite, so its box keeps both parities
+    assert parse_diagram("A2~").two_coloring() is None
+    for spec in ("A2~", "A3~", "D4~"):
+        c = parse_diagram(spec)
+        for i in c.nodes:
+            for k in (1, 2, 3, 4):
+                enum = enumerate_dominant_below(c, i, k, 0)
+                assert not enum.partial
+                mine = [m for m, _ in enum.entries]
+                assert mine == box_dominants(c, i, k, 0, cap=k), (spec, i, k)
 
 
 def test_enumerate_cap_is_not_binding():
