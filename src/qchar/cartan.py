@@ -124,22 +124,34 @@ class CartanData:
         return all(r == 1 for r in self.sym.values()) and all(
             v in (-1, 0) for (i, j), v in self.cartan.items() if i != j)
 
+    def distances(self, sources) -> dict:
+        """Sequence-length distance to the nearest of ``sources`` for every
+        node reachable from them: 1 on a source, 2 on its neighbours."""
+        dist = dict.fromkeys(sources, 1)
+        frontier = list(dist)
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for w in self._adj[u]:
+                    if w not in dist:
+                        dist[w] = dist[u] + 1
+                        nxt.append(w)
+            frontier = nxt
+        return dist
+
     def two_coloring(self):
-        """A proper 2-coloring of the diagram, or None if not bipartite."""
+        """A proper 2-coloring of the diagram, or None if not bipartite.
+
+        Each component's first node gets colour 0, every other node the
+        parity of its distance from it.
+        """
         color = {}
         for start in self.nodes:
-            if start in color:
-                continue
-            color[start] = 0
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for w in self.neighbors(u):
-                    if w not in color:
-                        color[w] = 1 - color[u]
-                        stack.append(w)
-                    elif color[w] == color[u]:
-                        return None
+            if start not in color:
+                color.update((j, (d - 1) % 2)
+                             for j, d in self.distances((start,)).items())
+        if any(color[i] == color[j] for i in self.nodes for j in self._adj[i]):
+            return None
         return color
 
     def __eq__(self, other):
@@ -170,30 +182,43 @@ def _chain_edges(n):
 
 
 _SERIES_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 4, "E": 6, "F": 4, "G": 2}
+_AFFINE_MIN_RANK = {"A": 2, "D": 4, "E": 6}
 
 
 def build_diagram(series: str, rank: int, affine: bool = False) -> CartanData:
     """Construct the Cartan datum for a series letter and rank.
 
     Affine construction is restricted to the simply-laced affine diagrams
-    A_n~ (n >= 2), D_n~ (n >= 4) and E_6~/E_7~/E_8~.
+    A_n~ (n >= 2), D_n~ (n >= 4) and E_6~/E_7~/E_8~; each is the finite
+    diagram of the same series and rank plus node 0.
     """
     series = series.upper()
     if series not in _SERIES_MIN_RANK:
         raise DiagramError(f"unknown series {series!r}")
     if affine:
-        return _build_affine(series, rank)
-    if rank < _SERIES_MIN_RANK[series]:
+        if series not in _AFFINE_MIN_RANK:
+            raise DiagramError(f"affine series {series} not supported "
+                               "(only simply-laced affine diagrams)")
+        if series == "E" and rank not in (6, 7, 8):
+            raise DiagramError("affine E has ranks 6, 7, 8")
+        if rank < _AFFINE_MIN_RANK[series]:
+            raise DiagramError(f"affine {series} requires rank >= "
+                               f"{_AFFINE_MIN_RANK[series]}")
+    elif rank < _SERIES_MIN_RANK[series]:
         raise DiagramError(f"rank {rank} too small for series {series}")
-    if series == "E" and rank not in (6, 7, 8):
+    elif series == "E" and rank not in (6, 7, 8):
         raise DiagramError("series E has ranks 6, 7, 8")
-    if series == "F" and rank != 4:
+    elif series == "F" and rank != 4:
         raise DiagramError("series F has rank 4")
-    if series == "G" and rank != 2:
+    elif series == "G" and rank != 2:
         raise DiagramError("series G has rank 2")
 
     nodes = list(range(1, rank + 1))
     edges = _chain_edges(rank)
+    if series == "D":
+        edges = _chain_edges(rank - 1) + [(rank - 2, rank)]
+    elif series == "E":
+        edges = _chain_edges(rank - 1) + [({6: 3, 7: 3, 8: 5}[rank], rank)]
     sym = {i: 1 for i in nodes}
     # unequal-length edges: (i, j, cij, cji) with C_{i,j} = cij
     skew = []
@@ -204,59 +229,27 @@ def build_diagram(series: str, rank: int, affine: bool = False) -> CartanData:
     elif series == "C":
         sym[rank] = 2
         skew = [(rank - 1, rank, -2, -1)]
-    elif series == "D":
-        edges = _chain_edges(rank - 1) + [(rank - 2, rank)]
-    elif series == "E":
-        branch = {6: 3, 7: 3, 8: 5}[rank]
-        edges = _chain_edges(rank - 1) + [(branch, rank)]
     elif series == "F":
         sym = {1: 2, 2: 2, 3: 1, 4: 1}
         skew = [(2, 3, -1, -2)]
     elif series == "G":
         sym = {1: 3, 2: 1}
         skew = [(1, 2, -1, -3)]
+    if affine:
+        nodes = [0] + nodes
+        # node 0 closes the A chain into a cycle and extends D and E
+        joins = {"A": (1, rank), "D": (2,), "E": ({6: 6, 7: 1, 8: 7}.get(rank),)}
+        edges += [(0, j) for j in joins[series]]
+        sym = {0: 1, **sym}
 
-    cartan = {}
-    skew_pairs = {(i, j) for (i, j, _, _) in skew}
-    for i, j in edges:
-        if (i, j) not in skew_pairs:
-            cartan[(i, j)] = cartan[(j, i)] = -1
-    for i, j, cij, cji in skew:
-        cartan[(i, j)] = cij
-        cartan[(j, i)] = cji
-    for i in nodes:
-        cartan[(i, i)] = 2
-    return CartanData(f"{series}{rank}", nodes, cartan, sym)
-
-
-def _build_affine(series, rank):
-    if series == "A":
-        if rank < 2:
-            raise DiagramError("affine A requires rank >= 2")
-        nodes = list(range(0, rank + 1))
-        edges = [(i, i + 1) for i in range(0, rank)] + [(rank, 0)]
-    elif series == "D":
-        if rank < 4:
-            raise DiagramError("affine D requires rank >= 4")
-        nodes = list(range(0, rank + 1))
-        edges = _chain_edges(rank - 1) + [(rank - 2, rank), (0, 2)]
-    elif series == "E":
-        if rank not in (6, 7, 8):
-            raise DiagramError("affine E has ranks 6, 7, 8")
-        nodes = list(range(0, rank + 1))
-        branch = {6: 3, 7: 3, 8: 5}[rank]
-        tail = {6: 6, 7: 1, 8: 7}[rank]
-        edges = _chain_edges(rank - 1) + [(branch, rank), (0, tail)]
-    else:
-        raise DiagramError(f"affine series {series} not supported "
-                           "(only simply-laced affine diagrams)")
     cartan = {(i, i): 2 for i in nodes}
     for i, j in edges:
         cartan[(i, j)] = cartan[(j, i)] = -1
-    # the triangle A_2~ has every pair adjacent; the generic loop above
-    # already produced exactly that
-    return CartanData(f"{series}{rank}~", nodes, cartan,
-                      {i: 1 for i in nodes}, affine=True)
+    for i, j, cij, cji in skew:
+        cartan[(i, j)] = cij
+        cartan[(j, i)] = cji
+    return CartanData(f"{series}{rank}{'~' if affine else ''}", nodes, cartan,
+                      sym, affine=affine)
 
 
 _SPEC_RE = re.compile(r"^([A-Ga-g])(\d+)(~?)$")
@@ -278,17 +271,7 @@ def graph_distance(c: CartanData, i, j):
     """
     if i not in c._adj or j not in c._adj:
         raise DiagramError(f"unknown node {i if i not in c._adj else j}")
-    dist = {i: 1}
-    frontier = [i]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in c.neighbors(u):
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    nxt.append(w)
-        frontier = nxt
-    return dist.get(j)
+    return c.distances((i,)).get(j)
 
 
 def classify_nodes(c: CartanData) -> NodeClassification:
@@ -308,18 +291,5 @@ def classify_nodes(c: CartanData) -> NodeClassification:
             kind[i] = SPECIAL
         else:
             kind[i] = NEITHER
-    specials = [i for i in c.nodes if kind[i] == SPECIAL]
-    d = {i: None for i in c.nodes}
-    if specials:
-        dist = {s: 1 for s in specials}
-        frontier = list(specials)
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in c.neighbors(u):
-                    if w not in dist:
-                        dist[w] = dist[u] + 1
-                        nxt.append(w)
-            frontier = nxt
-        d = {i: dist.get(i) for i in c.nodes}
-    return NodeClassification(kind=kind, d=d)
+    dist = c.distances([i for i in c.nodes if kind[i] == SPECIAL])
+    return NodeClassification(kind=kind, d={i: dist.get(i) for i in c.nodes})

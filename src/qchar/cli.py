@@ -2,9 +2,9 @@
 
 Every command prints either stable text or a single JSON document with a
 ``schema`` field; identical invocations produce byte-identical output.
-Budgets come from flags, falling back to the QCHAR_FM_STEPS,
-QCHAR_PROCESS_STEPS and QCHAR_ENUM_NODES environment variables, then to
-the built-in defaults.
+A command takes only the budget flags it reads.  Each budget comes from its
+flag, falling back to the QCHAR_FM_STEPS, QCHAR_PROCESS_STEPS or
+QCHAR_ENUM_NODES environment variable, then to the built-in default.
 
 Exit codes: 0 success/agreement, 2 parse or usage error, 3 replay or
 sweep mismatch, 4 budget-limited (partial) result.
@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from .cartan import DiagramError, parse_diagram
+from .cartan import DiagramError, build_diagram, parse_diagram
 from .expansion import (
     DEFAULT_FM_STEPS,
     DEFAULT_PROCESS_STEPS,
@@ -57,27 +57,35 @@ def _env_default(name, fallback):
     return value
 
 
-def _add_common(p, r=False):
+# Budgets field -> (flag, environment variable, default)
+_BUDGETS = {
+    "fm_steps": ("--fm-steps", "QCHAR_FM_STEPS", DEFAULT_FM_STEPS),
+    "process_steps": ("--process-steps", "QCHAR_PROCESS_STEPS", DEFAULT_PROCESS_STEPS),
+    "enum_nodes": ("--enum-nodes", "QCHAR_ENUM_NODES", DEFAULT_ENUM_NODES),
+}
+
+
+def _add_common(p, budgets=tuple(_BUDGETS), r=False):
+    """Add ``--r`` if asked, the flags of the named budgets, and --format."""
     if r:
         p.add_argument("--r", type=int, default=0,
                        help="base spectral power (default 0)")
-    p.add_argument("--fm-steps", type=int, default=None)
-    p.add_argument("--process-steps", type=int, default=None)
-    p.add_argument("--enum-nodes", type=int, default=None)
+    for name in budgets:
+        p.add_argument(_BUDGETS[name][0], type=int, default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
 
 def _budgets(args) -> Budgets:
-    fm = (args.fm_steps if args.fm_steps is not None
-          else _env_default("QCHAR_FM_STEPS", DEFAULT_FM_STEPS))
-    pr = (args.process_steps if args.process_steps is not None
-          else _env_default("QCHAR_PROCESS_STEPS", DEFAULT_PROCESS_STEPS))
-    en = (args.enum_nodes if args.enum_nodes is not None
-          else _env_default("QCHAR_ENUM_NODES", DEFAULT_ENUM_NODES))
-    for v in (fm, pr, en):
-        if v <= 0:
-            raise DiagramError("budgets must be positive")
-    return Budgets(fm_steps=fm, process_steps=pr, enum_nodes=en)
+    """The budgets whose flags the command took; the others keep their
+    defaults, and their environment variables are not read."""
+    values = {}
+    for name, (_, env, default) in _BUDGETS.items():
+        if hasattr(args, name):
+            flag = getattr(args, name)
+            values[name] = flag if flag is not None else _env_default(env, default)
+    if any(v <= 0 for v in values.values()):
+        raise DiagramError("budgets must be positive")
+    return Budgets(**values)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,13 +107,13 @@ def build_parser() -> argparse.ArgumentParser:
                                      "Frenkel-Mukhin closure")
     p.add_argument("--g", "--diagram", dest="g", required=True)
     p.add_argument("monomial", help="dominant monomial, e.g. '1_0' or '1_1 3_1 2_4'")
-    _add_common(p)
+    _add_common(p, ("fm_steps", "process_steps"))
 
     p = sub.add_parser("enumerate", help="dominant monomials below a string")
     p.add_argument("--g", "--diagram", dest="g", required=True)
     p.add_argument("--i", dest="i", type=int, required=True)
     p.add_argument("--k", dest="k", type=int, required=True)
-    _add_common(p, r=True)
+    _add_common(p, ("enum_nodes",), r=True)
 
     p = sub.add_parser("verify-remarks",
                        help="replay the built-in non-smallness pipelines")
@@ -124,15 +132,12 @@ def _parse_diagram_list(spec):
     for chunk in spec.split(","):
         chunk = chunk.strip()
         if ".." in chunk:
-            lo, hi = chunk.split("..", 1)
-            lo_c, hi_c = parse_diagram(lo), parse_diagram(hi)
-            lo_series, hi_series = lo.strip()[0].upper(), hi.strip()[0].upper()
-            if lo_series != hi_series or lo_c.affine or hi_c.affine:
+            lo, hi = (parse_diagram(end) for end in chunk.split("..", 1))
+            # a finite diagram is named series + rank and has rank nodes
+            if lo.name[0] != hi.name[0] or lo.affine or hi.affine:
                 raise DiagramError(f"bad diagram range {chunk!r}")
-            lo_rank = int(lo.strip()[1:])
-            hi_rank = int(hi.strip()[1:])
-            for rank in range(lo_rank, hi_rank + 1):
-                out.append(parse_diagram(f"{lo_series}{rank}"))
+            out += (build_diagram(lo.name[0], rank)
+                    for rank in range(len(lo.nodes), len(hi.nodes) + 1))
         else:
             out.append(parse_diagram(chunk))
     return out

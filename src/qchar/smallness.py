@@ -24,7 +24,6 @@ from .cartan import (
     CartanData,
     DiagramError,
     classify_nodes,
-    graph_distance,
     parse_diagram,
 )
 from .expansion import (
@@ -104,9 +103,8 @@ def _support_box(c, i, k, r):
     if color is not None:
         beta = (r + k - 1 + color[i]) % 2
     cells = []
-    for j in c.nodes:
-        d = graph_distance(c, i, j)
-        if d is None or d > k - 1:
+    for j, d in c.distances((i,)).items():
+        if d > k - 1:
             continue
         for rel in range(d + 1 - k, k - d):
             p = r + rel
@@ -142,8 +140,8 @@ def enumerate_dominant_below(c: CartanData, i, k: int, r: int,
     child is counted in ``visited`` and then tested before the search
     descends into it, so ``visited``, ``partial`` and the budget count
     every node either test would reach.  At a leaf nothing is raisable, so
-    a live leaf is dominant.  Every emitted monomial is round-tripped
-    through the witness solver.
+    a live leaf is dominant.  Every emitted monomial is checked against its
+    witness applied to X.
     """
     if not c.simply_laced:
         raise DiagramError("dominant-monomial enumeration is implemented for "
@@ -176,8 +174,8 @@ def enumerate_dominant_below(c: CartanData, i, k: int, r: int,
         if idx == n:
             m = Monomial(dict(zip(keys, expo)))
             wit = AWitness({cell: v for cell, v in zip(cells, counts) if v})
-            if divide_as_a_product(c, m, X) != wit:
-                raise AssertionError("enumeration witness failed round-trip")
+            if wit.apply(c, X) != m:
+                raise AssertionError("enumeration witness does not reach its monomial")
             out.append((m, wit))
             return
         st, chk = steps[idx], check[idx + 1]
@@ -252,31 +250,29 @@ class SmallnessVerdict:
     k: int
     r: int
     theoretical: str
-    empirical: EmpiricalRecord | None = None
-    agree: bool | None = None
+    empirical: EmpiricalRecord
+    agree: bool
 
     def _doc(self) -> dict:
-        out = {"diagram": self.diagram, "node": self.node, "k": self.k,
-               "r": self.r, "theoretical": self.theoretical}
-        if self.empirical is not None:
-            emp = self.empirical
-            witnesses = []
-            for m in emp.not_special:
-                rep = emp.reports[m]
-                witnesses.append({"monomial": m, "witness": rep.witness,
-                                  "chain": [s._doc() for s in rep.chain]})
-            out["empirical"] = {
-                "dominant_count": len(emp.entries),
-                "dominant": [{"monomial": m, "witness_table": w}
-                             for m, w in emp.entries],
-                "witnesses": witnesses,
-                "undetermined": emp.undetermined,
-                "no_candidate": emp.no_candidate,
-                "partial_enumeration": emp.partial_enumeration,
-                "verdict": emp.verdict,
-            }
-            out["agree"] = self.agree
-        return out
+        emp = self.empirical
+        witnesses = []
+        for m in emp.not_special:
+            rep = emp.reports[m]
+            witnesses.append({"monomial": m, "witness": rep.witness,
+                              "chain": [s._doc() for s in rep.chain]})
+        return {"diagram": self.diagram, "node": self.node, "k": self.k,
+                "r": self.r, "theoretical": self.theoretical,
+                "empirical": {
+                    "dominant_count": len(emp.entries),
+                    "dominant": [{"monomial": m, "witness_table": w}
+                                 for m, w in emp.entries],
+                    "witnesses": witnesses,
+                    "undetermined": emp.undetermined,
+                    "no_candidate": emp.no_candidate,
+                    "partial_enumeration": emp.partial_enumeration,
+                    "verdict": emp.verdict,
+                },
+                "agree": self.agree}
 
     def to_json(self) -> dict:
         return plain_json(self._doc())

@@ -37,14 +37,88 @@ def test_affine_triangle_all_adjacent():
     assert c.affine and c.simply_laced
 
 
-@pytest.mark.parametrize("series,rank,affine", [
-    ("A", 0, False), ("D", 3, False), ("E", 5, False), ("E", 9, False),
-    ("F", 3, False), ("G", 3, False), ("B", 1, False), ("H", 4, False),
-    ("A", 1, True), ("D", 3, True), ("B", 3, True), ("E", 5, True),
-])
+# the CLI prints these messages, so they are pinned exactly
+_REJECTED = {
+    ("A", 0, False): "rank 0 too small for series A",
+    ("D", 3, False): "rank 3 too small for series D",
+    ("E", 5, False): "rank 5 too small for series E",
+    ("E", 9, False): "series E has ranks 6, 7, 8",
+    ("F", 3, False): "rank 3 too small for series F",
+    ("G", 3, False): "series G has rank 2",
+    ("B", 1, False): "rank 1 too small for series B",
+    ("H", 4, False): "unknown series 'H'",
+    ("A", 1, True): "affine A requires rank >= 2",
+    ("D", 3, True): "affine D requires rank >= 4",
+    ("B", 3, True): "affine series B not supported (only simply-laced affine diagrams)",
+    ("E", 5, True): "affine E has ranks 6, 7, 8",
+}
+
+
+@pytest.mark.parametrize("series,rank,affine", list(_REJECTED))
 def test_invalid_series_rank(series, rank, affine):
-    with pytest.raises(DiagramError):
+    with pytest.raises(DiagramError) as exc:
         build_diagram(series, rank, affine=affine)
+    assert str(exc.value) == _REJECTED[(series, rank, affine)]
+
+
+def _chain(n):
+    return [(i, i + 1) for i in range(1, n)]
+
+
+# edge lists transcribed from the Kac table in the cartan module docstring
+_KAC_AFFINE = {
+    **{("A", n): _chain(n) + [(0, 1), (n, 0)] for n in range(2, 9)},
+    **{("D", n): _chain(n - 2) + [(n - 2, n - 1), (n - 2, n), (0, 2)]
+       for n in range(4, 9)},
+    ("E", 6): _chain(5) + [(3, 6), (0, 6)],
+    ("E", 7): _chain(6) + [(3, 7), (0, 1)],
+    ("E", 8): _chain(7) + [(5, 8), (0, 7)],
+}
+
+
+def _edges(c):
+    return {frozenset((i, j)) for i in c.nodes for j in c.neighbors(i)}
+
+
+@pytest.mark.parametrize("series,rank", list(_KAC_AFFINE))
+def test_affine_edges_match_kac_table(series, rank):
+    c = build_diagram(series, rank, affine=True)
+    assert c.name == f"{series}{rank}~" and c.affine and c.simply_laced
+    assert c.nodes == tuple(range(rank + 1))
+    assert _edges(c) == {frozenset(e) for e in _KAC_AFFINE[(series, rank)]}
+    assert all(c.c(i, j) == -1 for i in c.nodes for j in c.neighbors(i))
+
+
+CONSTRUCTIBLE = ([("A", n, False) for n in range(1, 9)]
+                 + [(s, n, False) for s in "BC" for n in range(2, 7)]
+                 + [("D", n, False) for n in range(4, 9)]
+                 + [("E", n, False) for n in (6, 7, 8)]
+                 + [("F", 4, False), ("G", 2, False)]
+                 + [(s, n, True) for s, n in _KAC_AFFINE])
+
+
+@pytest.mark.parametrize("series,rank,affine", CONSTRUCTIBLE)
+def test_two_coloring_constructible(series, rank, affine):
+    c = build_diagram(series, rank, affine=affine)
+    color = c.two_coloring()
+    # only the odd cycles A_n~, n even, are not bipartite
+    if affine and series == "A" and rank % 2 == 0:
+        assert color is None
+        return
+    assert color[c.nodes[0]] == 0
+    assert set(color) == set(c.nodes) and set(color.values()) <= {0, 1}
+    assert all(color[i] != color[j] for i in c.nodes for j in c.neighbors(i))
+
+
+def test_two_coloring_first_node_of_each_component():
+    from qchar.cartan import CartanData
+    # components 3 - 2 - 1 (listed from 3) and 5 - 4, plus the isolated node 6
+    nodes = (3, 2, 1, 5, 4, 6)
+    cartan = {(i, i): 2 for i in nodes}
+    for i, j in ((1, 2), (2, 3), (4, 5)):
+        cartan[(i, j)] = cartan[(j, i)] = -1
+    c = CartanData("split", nodes, cartan, {i: 1 for i in nodes})
+    assert c.two_coloring() == {3: 0, 2: 1, 1: 0, 5: 0, 4: 1, 6: 0}
 
 
 def test_parse_diagram():

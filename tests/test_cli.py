@@ -6,7 +6,7 @@ import pytest
 
 from qchar import smallness
 from qchar.cartan import build_diagram
-from qchar.cli import _json_text, main
+from qchar.cli import _budgets, _json_text, build_parser, main
 from qchar.expansion import QCharacter, SpecialnessReport, fm_algorithm
 from qchar.monomials import (
     AWitness,
@@ -157,8 +157,49 @@ def test_budget_exhaustion_exit_4(capsys):
 
 @pytest.mark.parametrize("flag", ["--fm-steps", "--process-steps", "--enum-nodes"])
 def test_zero_budget_flag_exit_2(capsys, flag):
-    code, _, err = run(capsys, "qchar", "--g", "A2", "1_0", flag, "0")
+    # each flag on a command that reads it
+    argv = (["enumerate", "--g", "A2", "--i", "1", "--k", "1"] if flag == "--enum-nodes"
+            else ["qchar", "--g", "A2", "1_0"])
+    code, _, err = run(capsys, *argv, flag, "0")
     assert code == 2 and "budgets must be positive" in err
+
+
+_ALL_BUDGETS = ("fm_steps", "process_steps", "enum_nodes")
+# command -> (argv, the budgets it reads)
+_BUDGET_READERS = {
+    "classify": (["classify", "--g", "A2", "--i", "1", "--k", "1", "--empirical"],
+                 _ALL_BUDGETS),
+    "qchar": (["qchar", "--g", "A2", "1_0"], ("fm_steps", "process_steps")),
+    "enumerate": (["enumerate", "--g", "A2", "--i", "1", "--k", "2"], ("enum_nodes",)),
+    "verify-remarks": (["verify-remarks"], _ALL_BUDGETS),
+    "sweep": (["sweep", "--g", "A1", "--kmax", "1"], _ALL_BUDGETS),
+}
+
+
+@pytest.mark.parametrize("budget", _ALL_BUDGETS)
+@pytest.mark.parametrize("command", list(_BUDGET_READERS))
+def test_budget_flags_only_where_read(capsys, command, budget):
+    argv, reads = _BUDGET_READERS[command]
+    flag = "--" + budget.replace("_", "-")
+    if budget in reads:
+        budgets = _budgets(build_parser().parse_args([*argv, flag, "7"]))
+        assert getattr(budgets, budget) == 7
+    else:
+        code, out, err = run(capsys, *argv, flag, "7")
+        assert code == 2 and out == ""
+        assert f"unrecognized arguments: {flag} 7" in err
+
+
+def test_unread_budget_env_is_ignored(capsys, monkeypatch):
+    monkeypatch.setenv("QCHAR_FM_STEPS", "hello")
+    monkeypatch.setenv("QCHAR_PROCESS_STEPS", "0")
+    code, out, _ = run(capsys, "enumerate", "--g", "A3", "--i", "2", "--k", "2")
+    assert code == 0 and out.startswith("2 dominant monomials\n")
+    monkeypatch.setenv("QCHAR_ENUM_NODES", "hello")
+    monkeypatch.delenv("QCHAR_FM_STEPS")
+    monkeypatch.delenv("QCHAR_PROCESS_STEPS")
+    code, out, _ = run(capsys, "qchar", "--g", "A1", "1_0")
+    assert code == 0 and out == "1_0 + 1_2^-1\n"
 
 
 def test_env_budget_override(capsys, monkeypatch):
