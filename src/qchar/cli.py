@@ -28,6 +28,7 @@ from .expansion import (
 from .monomials import AWitness, Monomial, format_monomial, parse_monomial
 from .smallness import (
     DEFAULT_ENUM_NODES,
+    UNDETERMINED,
     Budgets,
     check_small_empirical,
     classify,
@@ -221,9 +222,17 @@ def _cmd_classify(args):
                    f"{len(emp.undetermined)} undetermined, "
                    f"{len(emp.no_candidate)} no candidate)",
                    f"agree: {'yes' if cell.agree else 'no'}"])
-    if emp.partial_enumeration or emp.undetermined:
+    return _empirical_exit([cell])
+
+
+def _empirical_exit(cells) -> int:
+    """3 if a decided empirical verdict (Small or NotSmall) differs from the
+    closed form, else 4 if a cell is budget-limited, else 0."""
+    if any(c.empirical.verdict not in (UNDETERMINED, c.theoretical) for c in cells):
+        return EXIT_MISMATCH
+    if any(c.empirical.partial_enumeration or c.empirical.undetermined for c in cells):
         return EXIT_PARTIAL
-    return EXIT_OK if cell.agree else EXIT_MISMATCH
+    return EXIT_OK
 
 
 def _cmd_qchar(args):
@@ -288,6 +297,8 @@ def _cmd_verify_remarks(args):
 def _cmd_sweep(args):
     cells = sweep(_parse_diagram_list(args.g), args.kmax, args.r, _budgets(args))
     all_agree = all(cell.agree for cell in cells)
+    code = _empirical_exit(cells)
+    n = sum(cell.empirical.verdict == UNDETERMINED for cell in cells)
     _emit(args, lambda: {"schema": SCHEMA, "command": "sweep", "kmax": args.kmax,
                          "cells": [cell._doc() for cell in cells],
                          "all_agree": all_agree},
@@ -295,12 +306,9 @@ def _cmd_sweep(args):
                    f"theoretical={cell.theoretical} "
                    f"empirical={cell.empirical.verdict} "
                    f"agree={'yes' if cell.agree else 'no'}" for cell in cells]
-          + ["all cells agree" if all_agree else "DISAGREEMENT found"])
-    if not all_agree:
-        return EXIT_MISMATCH
-    partial = any(cell.empirical.partial_enumeration or cell.empirical.undetermined
-                  for cell in cells)
-    return EXIT_PARTIAL if partial else EXIT_OK
+          + ["all cells agree" if all_agree else "DISAGREEMENT found"
+             if code == EXIT_MISMATCH else f"no disagreement; {n} cells undetermined"])
+    return code
 
 
 _COMMANDS = {

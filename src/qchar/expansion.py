@@ -27,7 +27,8 @@ refutation is then certified with a generation-process chain.
 The closure, the generation process and chain replay expand through one
 ``_Expander`` per run (per cell in the empirical pipeline), which calls
 ``expand_Li_steps`` once per shape (a node restriction up to a shift by a
-multiple of r_i).
+multiple of r_i).  The engine alone decides whether a root is i-dominant,
+and hands out each result but the root as the root times a step-table delta.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from dataclasses import dataclass, field
 from . import sl2
 from .cartan import CartanData, DiagramError
 from .monomials import (
+    AWitness,
     Monomial,
-    a_monomial,
     format_monomial,
     monomial_from_json,
     plain_json,
@@ -112,8 +113,8 @@ class QCharacter:
         for entry in data["terms"]:
             m = monomial_from_json(entry["monomial"])
             terms[m] = terms.get(m, 0) + int(entry["multiplicity"])
-        highest = monomial_from_json(data["highest"]) if data.get("highest") else None
-        return cls(terms, highest=highest)
+        h = data.get("highest")
+        return cls(terms, highest=None if h is None else monomial_from_json(h))
 
 
 def qchar_is_thin(chi: QCharacter) -> bool:
@@ -121,28 +122,24 @@ def qchar_is_thin(chi: QCharacter) -> bool:
     return all(t == 1 for t in chi.terms.values())
 
 
-def expand_Li_steps(c: CartanData, m: Monomial, i) -> dict:
-    """Node-i expansion with bookkeeping: maps each result monomial to
-    (multiplicity, root-step table {(i, power): count})."""
+def expand_Li_steps(c: CartanData, m: Monomial, i) -> list:
+    """Node-i expansion with bookkeeping: ``(delta, multiplicity, total)``
+    per result, root first, where the result is ``m * delta``, ``delta`` is
+    the product of the A_{i,q^p}^{-x} of its rank-1 step table and
+    ``total`` is the sum of the x.  Distinct tables give distinct deltas."""
     if not m.is_dominant([i]):
         raise ValueError(f"monomial {format_monomial(m)} is not {i}-dominant")
     ri = c.r(i)
     classes = {}
     for s, e in m.node_powers(i).items():
-        c0 = s % ri
-        classes.setdefault(c0, {})[(s - c0) // ri] = e
+        classes.setdefault(s % ri, {})[s // ri] = e
 
     chars = [{tuple((c0 + ri * p, x) for p, x in table): t
               for table, t in sl2.simple_qchar_sl2(classes[c0]).items()}
              for c0 in sorted(classes)]
-    out = {}
-    for table, t in sl2.product(chars).items():
-        steps = {(i, p): x for p, x in table}
-        mm = m
-        for p, x in table:
-            mm = mm * (a_monomial(c, i, p) ** (-x))
-        out[mm] = (t, steps)  # distinct tables give distinct monomials
-    return out
+    return [(AWitness({(i, p): x for p, x in table}).apply(c, Monomial()), t,
+             sum(x for _, x in table))
+            for table, t in sl2.product(chars).items()]
 
 
 def expand_Li(c: CartanData, m: Monomial, i) -> QCharacter:
@@ -151,24 +148,22 @@ def expand_Li(c: CartanData, m: Monomial, i) -> QCharacter:
     The result is m times the mapped simple rank-1 character of the node-i
     restriction; its highest monomial is m with multiplicity 1.
     """
-    return QCharacter({mm: t for mm, (t, _) in expand_Li_steps(c, m, i).items()},
+    return QCharacter({m * delta: t for delta, t, _ in expand_Li_steps(c, m, i)},
                       highest=m)
 
 
 class _Expander:
-    """Node-i expansions on one diagram, computed once per shape.
+    """The one place that expands a root at a node, once per shape.
 
     ``expand_Li_steps`` reads a root only through its node-i restriction,
-    and shifting that restriction by a multiple of r_i shifts every
-    root-step product by the same amount.  A restriction's shape is the
-    restriction shifted down by ``base = r_i * (min power // r_i)``.  The
-    first restriction of a shape is expanded once, as a bare node-i
-    monomial, into templates ``(delta, multiplicity, total)`` with
-    ``result = root * delta`` and ``total`` the number of root steps from
-    root to result; any other restriction of that shape gets them with
-    ``delta`` shifted by the difference of the bases.  Each restriction
-    keeps its templates, so a call costs one product per result other than
-    the root itself and builds no root monomial.
+    and shifting that restriction by a multiple of r_i shifts every delta
+    by the same amount.  A restriction's shape is the restriction shifted
+    down by ``base = r_i * (min power // r_i)``.  The first restriction of
+    a shape is expanded once, as a bare node-i monomial, and its non-root
+    results are kept as templates ``(delta, multiplicity, total)``; any
+    other restriction of that shape shifts each ``delta`` by the difference
+    of the bases.  A restriction with a negative exponent gets None.  Each
+    restriction keeps its templates, so a result costs one product.
     """
 
     __slots__ = ("c", "_shapes", "_exact")
@@ -176,25 +171,22 @@ class _Expander:
     def __init__(self, c: CartanData):
         self.c = c
         self._shapes = {}  # (i, shape) -> (base, templates) of its first restriction
-        self._exact = {}  # (i, restriction) -> templates
+        self._exact = {}  # (i, i-dominant restriction) -> templates
 
-    def _templates(self, root: Monomial, i) -> list:
+    def _templates(self, root: Monomial, i):
         key = (i, tuple((r, e) for (j, r), e in root.key if j == i))
         tpl = self._exact.get(key)
         if tpl is None:
             restr = key[1]
             if any(e < 0 for _, e in restr):
-                raise ValueError(
-                    f"monomial {format_monomial(root)} is not {i}-dominant")
+                return None
             ri = self.c.r(i)
             base = ri * (restr[0][0] // ri) if restr else 0
             shape = (i, tuple((r - base, e) for r, e in restr))
             first = self._shapes.get(shape)
             if first is None:
                 bare = Monomial({(i, r): e for r, e in restr})
-                inv = bare.inverse()
-                tpl = [(mm * inv, t, sum(steps.values())) for mm, (t, steps)
-                       in expand_Li_steps(self.c, bare, i).items()]
+                tpl = expand_Li_steps(self.c, bare, i)[1:]
                 self._shapes[shape] = (base, tpl)
             else:
                 d = base - first[0]
@@ -204,15 +196,18 @@ class _Expander:
         return tpl
 
     def results(self, root: Monomial, i):
-        """``(monomial, multiplicity, root-step total)`` of each result of the
-        node-i expansion of ``root``, in the order of ``expand_Li_steps``."""
-        for delta, t, total in self._templates(root, i):
-            yield (root * delta if total else root), t, total
+        """None if ``root`` is not i-dominant, else ``(root * delta,
+        multiplicity, total)`` per template, in the order of ``expand_Li_steps``."""
+        tpl = self._templates(root, i)
+        return None if tpl is None else [(root * delta, t, total)
+                                         for delta, t, total in tpl]
 
     def occurs(self, root: Monomial, i, nu: Monomial) -> bool:
-        """Whether ``nu`` occurs in the node-i expansion of ``root``."""
-        ratio = nu * root.inverse()
-        return any(delta == ratio for delta, _, _ in self._templates(root, i))
+        """Whether ``root`` is i-dominant and ``nu`` occurs in its node-i
+        expansion."""
+        tpl = self._templates(root, i)
+        return tpl is not None and (nu == root or nu * root.inverse() in {
+            delta for delta, _, _ in tpl})
 
 
 @dataclass(frozen=True)
@@ -259,9 +254,8 @@ class GenerationTrace:
         for m, chain in self.chains.items():
             cur = self.start
             for step in chain:
-                if step.root != cur or not step.root.is_dominant([step.node]):
-                    return False
-                if not ex.occurs(step.root, step.node, step.result):
+                if step.root != cur or not ex.occurs(step.root, step.node,
+                                                     step.result):
                     return False
                 cur = step.result
             if cur != m:
@@ -276,8 +270,10 @@ class GenerationTrace:
             "partial": self.partial, "steps": self.steps})
 
 
-def _check_nodes(c: CartanData, m: Monomial):
-    """Reject a monomial that names a node outside the diagram."""
+def _check_start(c: CartanData, m: Monomial, what: str):
+    """Reject a start that is not dominant or names a node outside the diagram."""
+    if not m.is_dominant():
+        raise ValueError(f"{what} starts from a dominant monomial")
     for (j, _), _ in m.items():
         if j not in c.nodes:
             raise DiagramError(f"node {j} not in diagram {c.name}")
@@ -305,9 +301,7 @@ def generate_process(c: CartanData, m: Monomial,
     records that the check held when taken.  ``_expander`` lets
     ``fm_algorithm`` hand over the expansions its closure already made.
     """
-    if not m.is_dominant():
-        raise ValueError("generation starts from a dominant monomial")
-    _check_nodes(c, m)
+    _check_start(c, m, "generation")
     ex = _expander or _Expander(c)
     chains = {m: ()}
     canonical = {m: m}  # one object per monomial, shared by chains and covered
@@ -319,10 +313,10 @@ def generate_process(c: CartanData, m: Monomial,
     while heap and not stop:
         total, _, mu = heapq.heappop(heap)
         for i in c.nodes:
-            if not mu.is_dominant([i]):
+            results = ex.results(mu, i)
+            if results is None:
                 continue
-            results = [(canonical.setdefault(nu, nu), nu_steps)
-                       for nu, _, nu_steps in ex.results(mu, i) if nu_steps]
+            results = [(canonical.setdefault(nu, nu), n) for nu, _, n in results]
             blocked = mu in covered[i]
             covered[i].update(nu for nu, _ in results)
             if blocked:
@@ -426,9 +420,7 @@ def fm_algorithm(c: CartanData, m: Monomial,
 def _fm_closure(c, m, budget, order_within_level, ex):
     """The closure of ``fm_algorithm``: its consistent report, or the
     (forced dominant or None, steps, diagnostic) of an inconclusive exit."""
-    if not m.is_dominant():
-        raise ValueError("the closure starts from a dominant monomial")
-    _check_nodes(c, m)
+    _check_start(c, m, "the closure")
     mult = {m: 1}
     colored = {i: {} for i in c.nodes}  # node-i share of unsettled multiplicities
     steps = 0
@@ -447,13 +439,12 @@ def _fm_closure(c, m, budget, order_within_level, ex):
             coeff = mult[mu] - share.pop(mu, 0)
             if not coeff:
                 continue
-            if not mu.is_dominant([i]):
+            results = ex.results(mu, i)
+            if results is None:
                 return None, steps, (f"node-{i} class leaves non-dominant "
                                      f"{format_monomial(mu)} unexplained")
             new = []
-            for nu, t, nu_steps in ex.results(mu, i):
-                if not nu_steps:
-                    continue
+            for nu, t, nu_steps in results:
                 f = share[nu] = share.get(nu, 0) + coeff * t
                 old = mult.get(nu, 0)
                 if f > old:

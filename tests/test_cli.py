@@ -83,7 +83,13 @@ def test_qchar_json_round_trip(capsys):
     chi = QCharacter.from_json(doc["qchar"])
     assert chi.multiplicity(parse_monomial("1_0")) == 1
     assert len(chi) == 3
+    assert chi.highest == parse_monomial("1_0")
     assert monomial_from_json(doc["subject"]) == parse_monomial("1_0")
+    # the identity serialises as an empty list and still comes back
+    code, out, _ = run(capsys, "qchar", "--g", "A1", "1", "--format", "json")
+    assert code == 0
+    chi = QCharacter.from_json(json.loads(out)["qchar"])
+    assert chi.highest == Monomial() and chi.terms == {Monomial(): 1}
 
 
 def test_enumerate(capsys):
@@ -216,6 +222,41 @@ def test_sweep_small_range(capsys):
     assert code == 0
     assert out.splitlines()[-1] == "all cells agree"
     assert "A1 i=1 k=1" in out
+
+
+def test_undetermined_sweep_exit_4(capsys):
+    budgets = ("--fm-steps", "400", "--process-steps", "400")
+    code, out, _ = run(capsys, "sweep", "--g", "A2~", "--kmax", "1", *budgets)
+    assert code == 4
+    lines = out.splitlines()
+    assert all(line.endswith("empirical=Undetermined agree=no") for line in lines[:-1])
+    assert lines[-1] == "no disagreement; 3 cells undetermined"
+    code, _, _ = run(capsys, "classify", "--g", "A2~", "--i", "0", "--k", "1",
+                     "--empirical", *budgets)
+    assert code == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--g", "A3", "--i", "2", "--k", "3", "--empirical"],
+    ["sweep", "--g", "A3", "--kmax", "3"]])
+def test_certified_contradiction_exit_3(capsys, monkeypatch, argv):
+    # A3 node 2, k = 3 at budget 20: NotSmall, certified, with undetermined
+    # entries; a closed form patched to Small contradicts it
+    original = smallness.classify
+    monkeypatch.setattr(smallness, "classify", lambda c, i, k: (
+        smallness.SMALL if (i, k) == (2, 3) else original(c, i, k)))
+    argv = [*argv, "--fm-steps", "20", "--process-steps", "20"]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 3
+    doc = json.loads(out)
+    cell = next(cell for cell in doc.get("cells", [doc])
+                if (cell["node"], cell["k"]) == (2, 3))
+    assert cell["empirical"]["verdict"] == "NotSmall"
+    assert cell["empirical"]["undetermined"] and not cell["agree"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    if argv[0] == "sweep":
+        assert out.splitlines()[-1] == "DISAGREEMENT found"
 
 
 def test_sweep_bad_range(capsys):

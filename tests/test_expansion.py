@@ -551,25 +551,39 @@ def test_expander_matches_expand_li_steps(series, rank, affine):
         i = rng.choice(c.nodes)
         m = _random_i_dominant(rng, c, i)
         want = expand_Li_steps(c, m, i)
-        got = list(ex.results(m, i))
-        assert got == [(mu, t, sum(s.values())) for mu, (t, s) in want.items()], \
+        assert want[0] == (Monomial(), 1, 0)  # the root comes first
+        got = ex.results(m, i)
+        assert got == [(m * delta, t, total) for delta, t, total in want[1:]], \
             (format_monomial(m), i)
-        for mu in want:
+        char = expand_Li(c, m, i)
+        assert {mu: t for mu, t, _ in got} == {
+            mu: t for mu, t in char.terms.items() if mu != m}
+        for mu, _, total in got:
+            # the delta is a product of node-i root steps, total of them
+            w = divide_as_a_product(c, mu, m)
+            assert w.total() == total and all(j == i for (j, _), _ in w.items())
             assert ex.occurs(m, i, mu)
+        assert ex.occurs(m, i, m)
         assert not ex.occurs(m, i, m * a_monomial(c, i, 0))
         powers = m.node_powers(i)
         residues |= {(i, p % c.r(i)) for p in powers}
         negative += any(p < 0 for p in powers)
         empty += not powers
+        # a root with a negative node-i exponent has no expansion at i
+        p = min(powers, default=0)
+        bad = m * Monomial.y(i, p, -powers.get(p, 0) - 1)
+        assert ex.results(bad, i) is None
+        assert not ex.occurs(bad, i, bad)
     assert residues == {(i, r) for i in c.nodes for r in range(c.r(i))}
     assert negative and empty
 
 
 def test_expander_names_the_callers_monomial():
-    ex = _Expander(build_diagram("B", 3))
+    b3 = build_diagram("B", 3)
     m = parse_monomial("1_6 1_8^-1 2_3")
+    assert _Expander(b3).results(m, 1) is None
     with pytest.raises(ValueError) as err:
-        list(ex.results(m, 1))
+        expand_Li(b3, m, 1)
     assert format_monomial(m) in str(err.value)
     assert "1_0 1_2^-1" not in str(err.value)  # the shifted shape
 
