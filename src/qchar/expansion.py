@@ -28,18 +28,32 @@ The closure, the generation process and chain replay expand through one
 ``_Expander`` per run (per cell in the empirical pipeline), which calls
 ``expand_Li_steps`` once per shape (a node restriction up to a shift by a
 multiple of r_i).  The engine alone decides whether a root is i-dominant,
-and hands out each result but the root as the root times a step-table delta.
+and hands out the step-table delta of each result but the root.
+
+Inside a run, the closure and the process hold each monomial packed: a
+tuple with one int per node, in ``c.nodes`` order, where each power from a
+base power up has a fixed-width field holding its exponent.  The base is
+the lowest power of the run's start, or of the string for all runs of an
+empirical cell (an expansion never reaches below its root's node
+restriction), and a field of width w holds |e| < 2^(w-1);
+since one root step moves a field by at most 1, every exponent of a
+monomial T steps below the start m stays within max |e_m| + T, and the
+engine widens its fields and restarts the run before that bound reaches
+the limit.  A result is the root plus a packed template delta, so equality
+and hashing are on ints, and a ``Monomial`` is built only for a new
+monomial, for its tie key and for the output (``QCharacter``, chains and
+reports).
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from operator import add
 
 from . import sl2
 from .cartan import CartanData, DiagramError
 from .monomials import (
-    AWitness,
     Monomial,
     format_monomial,
     monomial_from_json,
@@ -137,9 +151,15 @@ def expand_Li_steps(c: CartanData, m: Monomial, i) -> list:
     chars = [{tuple((c0 + ri * p, x) for p, x in table): t
               for table, t in sl2.simple_qchar_sl2(classes[c0]).items()}
              for c0 in sorted(classes)]
-    return [(AWitness({(i, p): x for p, x in table}).apply(c, Monomial()), t,
-             sum(x for _, x in table))
-            for table, t in sl2.product(chars).items()]
+    row = c.a_row(i)
+    out = []
+    for table, t in sl2.product(chars).items():
+        delta = {}
+        for p, x in table:
+            for (j, d), ae in row:
+                delta[j, p + d] = delta.get((j, p + d), 0) - x * ae
+        out.append((Monomial(delta), t, sum(x for _, x in table)))
+    return out
 
 
 def expand_Li(c: CartanData, m: Monomial, i) -> QCharacter:
@@ -152,62 +172,188 @@ def expand_Li(c: CartanData, m: Monomial, i) -> QCharacter:
                       highest=m)
 
 
-class _Expander:
-    """The one place that expands a root at a node, once per shape.
+class _FieldsWidened(Exception):
+    """The engine widened its fields, since a result of the current run
+    could have outgrown them; the run starts over on the wider layout."""
 
-    ``expand_Li_steps`` reads a root only through its node-i restriction,
-    and shifting that restriction by a multiple of r_i shifts every delta
-    by the same amount.  A restriction's shape is the restriction shifted
-    down by ``base = r_i * (min power // r_i)``.  The first restriction of
-    a shape is expanded once, as a bare node-i monomial, and its non-root
-    results are kept as templates ``(delta, multiplicity, total)``; any
-    other restriction of that shape shifts each ``delta`` by the difference
-    of the bases.  A restriction with a negative exponent gets None.  Each
-    restriction keeps its templates, so a result costs one product.
+
+def _rerun_when_widened(run, *args):
+    """``run(*args)``, started over each time the engine widens its fields.
+    A run is deterministic, so its last attempt is the run that a wide
+    enough layout would have made from the start."""
+    while True:
+        try:
+            return run(*args)
+        except _FieldsWidened:
+            pass
+
+
+class _Expander:
+    """The one place that expands a root at a node, once per shape, and the
+    owner of the packed layout that the closure and the process run on.
+
+    Layout.  Inside a run a monomial is a tuple with one int per node, in
+    ``c.nodes`` order.  Node j's int is the sum of e << bits * (p - base)
+    over its exponents e at powers p: each power from ``base`` up has a
+    field of ``bits`` bits that holds its exponent as a signed digit,
+    |e| < 2 ** (bits - 1).  Digits in that range make the encoding unique,
+    so a product is the elementwise sum of the tuples, equality and hashing
+    are on ints, and node i's restriction is element i.  Two facts keep
+    the layout exact:
+
+    * an expansion never reaches below the lowest power of its root's
+      node-i restriction, so a run stays at or above its start's lowest
+      power.  That power is a valid base, and the engine of an empirical
+      cell takes the string's lowest power, below which no enumerated
+      entry lies;
+    * one A^{-1} factor moves any field by at most 1, so a monomial at
+      witness total T below the start m has every |e| <= max |e_m| + T.
+
+    ``start`` lowers the base and doubles ``bits`` until m fits with as
+    much room again; ``templates`` refuses an expansion whose results could
+    pass the field limit, doubles ``bits`` and raises ``_FieldsWidened``,
+    and the run starts over.  So a field never wraps, and a template power
+    below the base raises (a negative shift).  A new layout drops the
+    packed caches.
+
+    Templates.  ``expand_Li_steps`` reads a root only through its node-i
+    restriction, and shifting that restriction by a multiple of r_i shifts
+    every delta by the same amount.  A restriction's shape is the
+    restriction shifted down by ``r_i * (min power // r_i)``.  The first
+    restriction of a shape is expanded once, as a bare node-i monomial, and
+    its non-root results are kept as ``(delta, multiplicity, total)``; any
+    other restriction of that shape shifts each ``delta``.  Each packed
+    restriction keeps its templates ``(packed delta, multiplicity, total,
+    delta)``, so a result is ``tuple(map(add, root, packed delta))``, and
+    only a new one costs a ``Monomial`` product.  A restriction with a
+    negative exponent gets None.  The caches live as long as the engine,
+    so the closures and certifying processes of a cell share them.
     """
 
-    __slots__ = ("c", "_shapes", "_exact")
+    __slots__ = ("c", "_slot", "base", "bits", "_room", "_shapes", "_packed",
+                 "_deltas")
 
-    def __init__(self, c: CartanData):
+    def __init__(self, c: CartanData, base=None):
         self.c = c
+        self._slot = {j: s for s, j in enumerate(c.nodes)}
+        self.base = base  # lowest power of the layout, None until one is seen
+        self.bits = 16
+        self._room = 0  # largest witness total the current run may reach
         self._shapes = {}  # (i, shape) -> (base, templates) of its first restriction
-        self._exact = {}  # (i, i-dominant restriction) -> templates
+        # per slot, packed restriction -> (largest total, packed templates)
+        self._packed = [{} for _ in c.nodes]
+        # per slot, packed restriction -> the deltas occurs accepts, 1 included
+        self._deltas = [{} for _ in c.nodes]
 
-    def _templates(self, root: Monomial, i):
-        key = (i, tuple((r, e) for (j, r), e in root.key if j == i))
-        tpl = self._exact.get(key)
-        if tpl is None:
-            restr = key[1]
-            if any(e < 0 for _, e in restr):
-                return None
-            ri = self.c.r(i)
-            base = ri * (restr[0][0] // ri) if restr else 0
-            shape = (i, tuple((r - base, e) for r, e in restr))
-            first = self._shapes.get(shape)
-            if first is None:
-                bare = Monomial({(i, r): e for r, e in restr})
-                tpl = expand_Li_steps(self.c, bare, i)[1:]
-                self._shapes[shape] = (base, tpl)
-            else:
-                d = base - first[0]
-                tpl = [(Monomial({(j, r + d): e for (j, r), e in delta.key}), t,
-                        total) for delta, t, total in first[1]]
-            self._exact[key] = tpl
+    def encode(self, m: Monomial, reach: int = 0) -> tuple:
+        """``m`` packed.  The base is lowered to m's lowest power, and the
+        fields are widened to hold |e| + reach for each exponent e of m,
+        where that is needed."""
+        items = m.items()
+        low = min((p for (_, p), _ in items),
+                  default=0 if self.base is None else self.base)
+        need = max((abs(e) for _, e in items), default=0) + reach
+        if self.base is None or low < self.base or need >> (self.bits - 1):
+            self.base = low if self.base is None else min(low, self.base)
+            while need >> (self.bits - 1):
+                self.bits *= 2
+            self._new_layout()
+        return self._pack(items)
+
+    def decode(self, x) -> Monomial:
+        """The monomial of a packed tuple."""
+        return Monomial({(j, p): e for j, v in zip(self.c.nodes, x)
+                         for p, e in self._powers(v).items()})
+
+    def start(self, m: Monomial) -> tuple:
+        """``m`` packed for a run from it, with room for witness totals at
+        least up to its largest exponent."""
+        top = max((abs(e) for _, e in m.items()), default=0)
+        x = self.encode(m, top)
+        self._room = (1 << (self.bits - 1)) - 1 - top
+        return x
+
+    def templates(self, x, s, total):
+        """None if the packed root ``x``, at witness total ``total`` in the
+        current run, is not dominant at the node of slot ``s``; else its
+        templates, in the order of ``expand_Li_steps``."""
+        v = x[s]
+        cache = self._packed[s]
+        entry = cache.get(v)
+        if entry is None:
+            entry = cache[v] = self._build(s, v)
+        tmax, tpl = entry
+        if total + tmax > self._room:
+            self.bits *= 2
+            self._new_layout()
+            raise _FieldsWidened
         return tpl
-
-    def results(self, root: Monomial, i):
-        """None if ``root`` is not i-dominant, else ``(root * delta,
-        multiplicity, total)`` per template, in the order of ``expand_Li_steps``."""
-        tpl = self._templates(root, i)
-        return None if tpl is None else [(root * delta, t, total)
-                                         for delta, t, total in tpl]
 
     def occurs(self, root: Monomial, i, nu: Monomial) -> bool:
         """Whether ``root`` is i-dominant and ``nu`` occurs in its node-i
         expansion."""
-        tpl = self._templates(root, i)
-        return tpl is not None and (nu == root or nu * root.inverse() in {
-            delta for delta, _, _ in tpl})
+        s = self._slot.get(i)
+        if s is None or any(j not in self._slot for (j, _), _ in root.items()):
+            return False  # a node outside the diagram
+        v = self.encode(root)[s]
+        deltas = self._deltas[s].get(v)
+        if deltas is None:
+            tpl = (self._packed[s].get(v) or self._build(s, v))[1]
+            deltas = self._deltas[s][v] = set() if tpl is None else {
+                Monomial(), *(delta for *_, delta in tpl)}
+        return nu * root.inverse() in deltas
+
+    def _build(self, s, v):
+        """(largest total, templates) of the packed restriction ``v`` at
+        slot ``s``, or (0, None) if it has a negative exponent."""
+        i = self.c.nodes[s]
+        restr = self._powers(v)
+        if any(e < 0 for e in restr.values()):
+            return 0, None
+        ri = self.c.r(i)
+        base = ri * (min(restr) // ri) if restr else 0
+        shape = (i, tuple((r - base, e) for r, e in restr.items()))
+        first = self._shapes.get(shape)
+        if first is None:
+            bare = Monomial({(i, r): e for r, e in restr.items()})
+            first = self._shapes[shape] = (base, expand_Li_steps(self.c, bare, i)[1:])
+        d = base - first[0]
+        tpl = []
+        for delta, t, total in first[1]:
+            x = self._pack(delta.exponents(), d)
+            if d:
+                delta = Monomial({(j, p + d): e for (j, p), e in delta.exponents()})
+            tpl.append((x, t, total, delta))
+        return max((total for _, _, total, _ in tpl), default=0), tpl
+
+    def _pack(self, items, shift=0) -> tuple:
+        """((node, power), exponent) pairs packed, each power raised by
+        ``shift``."""
+        x = [0] * len(self._slot)
+        off, bits, slot = shift - self.base, self.bits, self._slot
+        for (j, p), e in items:
+            x[slot[j]] += e << bits * (p + off)
+        return tuple(x)
+
+    def _powers(self, v) -> dict:
+        """power -> exponent of one packed node int, powers ascending."""
+        bits = self.bits
+        full = 1 << bits
+        out = {}
+        p = self.base
+        while v:
+            e = v & (full - 1)
+            if e >> (bits - 1):
+                e -= full
+            if e:
+                out[p] = e
+            v = (v - e) >> bits
+            p += 1
+        return out
+
+    def _new_layout(self):
+        for cache in self._packed + self._deltas:
+            cache.clear()
 
 
 @dataclass(frozen=True)
@@ -298,27 +444,37 @@ def generate_process(c: CartanData, m: Monomial,
     ``covered[i]`` holds the non-root results of the node-i expansions of
     every i-dominant monomial popped so far, blocked or not, and mu is
     blocked at i exactly when it is in ``covered[i]``.  Each chain step
-    records that the check held when taken.  ``_expander`` lets
+    records that the check held when taken.  The run holds monomials in
+    the packed layout of ``_Expander``; a ``Monomial`` is built once per
+    new one, for its tie key and its chain.  ``_expander`` lets
     ``fm_algorithm`` hand over the expansions its closure already made.
     """
     _check_start(c, m, "generation")
-    ex = _expander or _Expander(c)
-    chains = {m: ()}
-    canonical = {m: m}  # one object per monomial, shared by chains and covered
-    covered = {i: set() for i in c.nodes}
-    heap = [(0, m.key, m)]
+    return _rerun_when_widened(_generate, c, m, budget, stop_on_dominant,
+                               _expander or _Expander(c))
+
+
+def _generate(c, m, budget, stop_on_dominant, ex):
+    """The run of ``generate_process`` on the packed layout of ``ex``; it
+    raises ``_FieldsWidened`` when ``ex`` widened its fields mid-run."""
+    x0 = ex.start(m)
+    chains = {x0: ()}
+    canonical = {x0: x0}  # one tuple per monomial, shared by chains and covered
+    covered = [set() for _ in c.nodes]
+    heap = [(0, m.key, x0, m)]
     steps = 0
     partial = False
     stop = False
     while heap and not stop:
-        total, _, mu = heapq.heappop(heap)
-        for i in c.nodes:
-            results = ex.results(mu, i)
-            if results is None:
+        total, _, x, mu = heapq.heappop(heap)
+        for s, i in enumerate(c.nodes):
+            tpl = ex.templates(x, s, total)
+            if tpl is None:
                 continue
-            results = [(canonical.setdefault(nu, nu), n) for nu, _, n in results]
-            blocked = mu in covered[i]
-            covered[i].update(nu for nu, _ in results)
+            results = [canonical.setdefault(nu, nu) for nu in
+                       (tuple(map(add, x, d)) for d, _, _, _ in tpl)]
+            blocked = x in covered[s]
+            covered[s].update(results)
             if blocked:
                 continue
             if steps >= budget:
@@ -326,16 +482,19 @@ def generate_process(c: CartanData, m: Monomial,
                 stop = True
                 break
             steps += 1
-            for nu, nu_steps in sorted(results, key=lambda r: r[0].key):
-                if nu in chains:
-                    continue
-                chains[nu] = chains[mu] + (TraceStep(i, mu, nu),)
-                heapq.heappush(heap, (total + nu_steps, nu.key, nu))
-                if stop_on_dominant and nu.is_dominant():
+            new = [(mu * delta, nu, total + n)
+                   for nu, (_, _, n, delta) in zip(results, tpl) if nu not in chains]
+            for nu_m, nu, nu_total in sorted(new, key=lambda r: r[0].key):
+                chains[nu] = chains[x] + (TraceStep(i, mu, nu_m),)
+                heapq.heappush(heap, (nu_total, nu_m.key, nu, nu_m))
+                if stop_on_dominant and nu_m.is_dominant():
                     stop = True
             if stop:
                 break
-    return GenerationTrace(start=m, chains=chains, partial=partial, steps=steps)
+    # a chain ends at its monomial; the start's chain is empty
+    return GenerationTrace(start=m, chains={ch[-1].result if ch else m: ch
+                                            for ch in chains.values()},
+                           partial=partial, steps=steps)
 
 
 @dataclass
@@ -401,7 +560,8 @@ def fm_algorithm(c: CartanData, m: Monomial,
     ``check_small_empirical`` share one engine across a cell's closures.
     """
     ex = _expander or _Expander(c)
-    out = _fm_closure(c, m, budget, order_within_level, ex)
+    out = _rerun_when_widened(_fm_closure, c, m, budget,
+                              order_within_level, ex)
     if isinstance(out, SpecialnessReport):
         return out
     # the closure's state is released before the process runs
@@ -419,45 +579,54 @@ def fm_algorithm(c: CartanData, m: Monomial,
 
 def _fm_closure(c, m, budget, order_within_level, ex):
     """The closure of ``fm_algorithm``: its consistent report, or the
-    (forced dominant or None, steps, diagnostic) of an inconclusive exit."""
+    (forced dominant or None, steps, diagnostic) of an inconclusive exit.
+    It runs on the packed layout of ``ex`` and raises ``_FieldsWidened``
+    when ``ex`` widened its fields mid-run.  A monomial leaves ``mult``
+    when it settles: its multiplicity is final then, as every root above
+    it has settled, and it is no later result, as results lie strictly
+    below their roots."""
     _check_start(c, m, "the closure")
-    mult = {m: 1}
-    colored = {i: {} for i in c.nodes}  # node-i share of unsettled multiplicities
+    x0 = ex.start(m)
+    mult = {x0: 1}  # unsettled monomials
+    colored = [{} for _ in c.nodes]  # node share of unsettled multiplicities
+    terms = {}
     steps = 0
 
     def tie_key(nu):
         return order_within_level(nu) if order_within_level else nu.key
 
-    heap = [(0, tie_key(m), m)]
+    heap = [(0, tie_key(m), x0, m)]
     while heap:
-        total, _, mu = heapq.heappop(heap)
+        total, _, x, mu = heapq.heappop(heap)
         if steps >= budget:
             return None, steps, "step budget exhausted"
         steps += 1
-        for i in c.nodes:
-            share = colored[i]
-            coeff = mult[mu] - share.pop(mu, 0)
+        t_mu = terms[mu] = mult.pop(x)
+        for s, i in enumerate(c.nodes):
+            share = colored[s]
+            coeff = t_mu - share.pop(x, 0)
             if not coeff:
                 continue
-            results = ex.results(mu, i)
-            if results is None:
+            tpl = ex.templates(x, s, total)
+            if tpl is None:
                 return None, steps, (f"node-{i} class leaves non-dominant "
                                      f"{format_monomial(mu)} unexplained")
             new = []
-            for nu, t, nu_steps in results:
+            for d, t, n, delta in tpl:
+                nu = tuple(map(add, x, d))
                 f = share[nu] = share.get(nu, 0) + coeff * t
                 old = mult.get(nu, 0)
                 if f > old:
                     mult[nu] = f
                 if not old:
-                    new.append((nu, total + nu_steps))
-            for nu, nu_total in sorted(new, key=lambda r: r[0].key):
-                heapq.heappush(heap, (nu_total, tie_key(nu), nu))
-                if nu.is_dominant():
-                    return nu, steps, (
+                    new.append((mu * delta, nu, total + n))
+            for nu_m, nu, nu_total in sorted(new, key=lambda r: r[0].key):
+                heapq.heappush(heap, (nu_total, tie_key(nu_m), nu, nu_m))
+                if nu_m.is_dominant():
+                    return nu_m, steps, (
                         "closure forces dominant monomial "
-                        f"{format_monomial(nu)} but the generation process "
+                        f"{format_monomial(nu_m)} but the generation process "
                         "found no replayable witness within budget")
 
     return SpecialnessReport(SPECIAL_FM_CONSISTENT, m,
-                             qchar=QCharacter(mult, highest=m), steps=steps)
+                             qchar=QCharacter(terms, highest=m), steps=steps)

@@ -99,6 +99,11 @@ class Monomial:
     def items(self):
         return self.key
 
+    def exponents(self):
+        """The ((node, power), exponent) pairs in no fixed order; unlike
+        ``items``, this never sorts the key."""
+        return self._e.items()
+
     def is_identity(self) -> bool:
         return not self._e
 

@@ -311,9 +311,11 @@ def check_small_empirical(c: CartanData, i, k: int, r: int,
     record = EmpiricalRecord(entries=enum.entries,
                              no_candidate=no_candidate_entries(enum),
                              partial_enumeration=enum.partial)
-    ex = _Expander(c)
+    # every entry lies at or above the lowest power of the string X
+    ex = _Expander(c, base=r - c.r(i) * (k - 1))
+    cleared = set(record.no_candidate)
     for m, _w in enum.entries:
-        if m in record.no_candidate:
+        if m in cleared:
             continue
         rep = fm_algorithm(c, m, budget=budgets.fm_steps,
                            process_budget=budgets.process_steps, _expander=ex)

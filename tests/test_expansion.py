@@ -1,11 +1,12 @@
 import functools
 import heapq
 import random
+from operator import add
 
 import pytest
 
 from qchar import expansion, sl2
-from qchar.cartan import build_diagram
+from qchar.cartan import build_diagram, parse_diagram
 from qchar.expansion import (
     DEFAULT_FM_STEPS,
     INCONCLUSIVE,
@@ -139,7 +140,7 @@ def test_process_counter_example():
 
 @pytest.mark.parametrize("broken", [
     None, "wrong root", "root not node-dominant", "result outside expansion",
-    "end is not its monomial"])
+    "end is not its monomial", "node outside diagram", "start outside diagram"])
 def test_replay_checks_every_chain(broken):
     # a genuine A2 trace from 1_0, plus one chain that breaks one rule
     m, nu = parse_monomial("1_0"), parse_monomial("1_2^-1 2_1")
@@ -154,7 +155,13 @@ def test_replay_checks_every_chain(broken):
                                            TraceStep(1, nu, below))},
         "result outside expansion": {below: (TraceStep(1, m, below),)},
         "end is not its monomial": {parse_monomial("2_1"): (TraceStep(1, m, nu),)},
+        # A2 has no node 3
+        "node outside diagram": {nu: (TraceStep(3, m, nu),)},
+        "start outside diagram": {},
     }[broken]
+    if broken == "start outside diagram":
+        # the node-1 step is genuine but for the foreign factor 3_0
+        m, nu = m * parse_monomial("3_0"), nu * parse_monomial("3_0")
     trace = GenerationTrace(m, {m: (), nu: (TraceStep(1, m, nu),), **bad})
     assert trace.replay(A2) is (broken is None)
 
@@ -549,12 +556,19 @@ def test_expander_matches_expand_li_steps(series, rank, affine):
     residues, negative, empty = set(), 0, 0
     for _ in range(300):
         i = rng.choice(c.nodes)
+        s = c.nodes.index(i)
         m = _random_i_dominant(rng, c, i)
         want = expand_Li_steps(c, m, i)
         assert want[0] == (Monomial(), 1, 0)  # the root comes first
-        got = ex.results(m, i)
+        x = ex.start(m)
+        assert ex.decode(x) == m
+        tpl = ex.templates(x, s, 0)
+        # packed results decode to the results of expand_Li_steps, in order
+        got = [(ex.decode(tuple(map(add, x, d))), t, total)
+               for d, t, total, _ in tpl]
         assert got == [(m * delta, t, total) for delta, t, total in want[1:]], \
             (format_monomial(m), i)
+        assert [delta for _, _, _, delta in tpl] == [delta for delta, _, _ in want[1:]]
         char = expand_Li(c, m, i)
         assert {mu: t for mu, t, _ in got} == {
             mu: t for mu, t in char.terms.items() if mu != m}
@@ -565,6 +579,9 @@ def test_expander_matches_expand_li_steps(series, rank, affine):
             assert ex.occurs(m, i, mu)
         assert ex.occurs(m, i, m)
         assert not ex.occurs(m, i, m * a_monomial(c, i, 0))
+        # occurs builds its delta set once per restriction
+        deltas = ex._deltas[s][x[s]]
+        assert ex.occurs(m, i, m) and ex._deltas[s][x[s]] is deltas
         powers = m.node_powers(i)
         residues |= {(i, p % c.r(i)) for p in powers}
         negative += any(p < 0 for p in powers)
@@ -572,7 +589,7 @@ def test_expander_matches_expand_li_steps(series, rank, affine):
         # a root with a negative node-i exponent has no expansion at i
         p = min(powers, default=0)
         bad = m * Monomial.y(i, p, -powers.get(p, 0) - 1)
-        assert ex.results(bad, i) is None
+        assert ex.templates(ex.start(bad), s, 0) is None
         assert not ex.occurs(bad, i, bad)
     assert residues == {(i, r) for i in c.nodes for r in range(c.r(i))}
     assert negative and empty
@@ -581,7 +598,8 @@ def test_expander_matches_expand_li_steps(series, rank, affine):
 def test_expander_names_the_callers_monomial():
     b3 = build_diagram("B", 3)
     m = parse_monomial("1_6 1_8^-1 2_3")
-    assert _Expander(b3).results(m, 1) is None
+    ex = _Expander(b3)
+    assert ex.templates(ex.start(m), 0, 0) is None
     with pytest.raises(ValueError) as err:
         expand_Li(b3, m, 1)
     assert format_monomial(m) in str(err.value)
@@ -635,3 +653,132 @@ def test_shared_expander_matches_fresh_engines(c, i, k):
         ex = _Expander(c)
         for m in order:
             assert fm_algorithm(c, m, 400, 400, _expander=ex).to_json() == fresh[m]
+
+
+# the diagrams on which the packed layout's two facts are measured
+LAYOUT_DIAGRAMS = [("A", 3, False), ("B", 3, False), ("C", 3, False),
+                   ("G", 2, False), ("F", 4, False), ("D", 4, False),
+                   ("E", 6, False), ("A", 2, True), ("D", 4, True)]
+
+
+@pytest.mark.parametrize("series,rank,affine", LAYOUT_DIAGRAMS)
+def test_expansion_stays_above_its_root_and_moves_fields_by_its_total(
+        series, rank, affine):
+    # the facts under the packed layout: no delta reaches below the lowest
+    # power of its root's node-i restriction, and no delta entry exceeds
+    # its total in size (one A^{-1} factor moves any field by at most 1)
+    c = build_diagram(series, rank, affine=affine)
+    rng = random.Random(f"layout {c.name}")
+    deltas = 0
+    for _ in range(300):
+        i = rng.choice(c.nodes)
+        m = _random_i_dominant(rng, c, i)
+        low = min(m.node_powers(i), default=None)
+        for delta, _, total in expand_Li_steps(c, m, i)[1:]:
+            assert min(p for (_, p), _ in delta.items()) >= low
+            assert max(abs(e) for _, e in delta.items()) <= total
+            deltas += 1
+    assert deltas > 300
+
+
+def test_enumerated_entries_lie_above_the_string():
+    # so one engine per cell can take the lowest power of the string X
+    seen = identities = 0
+    for name in ("A3", "A4", "D4", "D5", "E6", "A2~", "A3~", "D4~"):
+        c = parse_diagram(name)
+        for i in c.nodes:
+            for k in range(1, 5):
+                for r in (0, 3):
+                    low = r - c.r(i) * (k - 1)
+                    for m, _ in enumerate_dominant_below(c, i, k, r).entries:
+                        assert all(p >= low for (_, p), _ in m.items())
+                        seen += 1
+                        identities += m.is_identity()
+    assert seen > 2000 and identities  # A3 at k = 4 has the identity
+
+
+@pytest.mark.parametrize("base", [-3, None])
+def test_identity_start_runs(base):
+    # on a cell engine, and on a fresh engine that has seen no power yet
+    ex = _Expander(A3, base=base)
+    assert ex.start(Monomial()) == (0, 0, 0)
+    rep = fm_algorithm(A3, Monomial(), _expander=ex)
+    assert rep.verdict == SPECIAL_FM_CONSISTENT
+    assert rep.qchar.terms == {Monomial(): 1}
+    assert generate_process(A3, Monomial(), _expander=ex).chains == {Monomial(): ()}
+
+
+def test_packed_layout_round_trips_at_the_field_edges():
+    ex = _Expander(D4)
+    assert ex.encode(Monomial()) == (0, 0, 0, 0)
+    assert ex.decode((0, 0, 0, 0)) == Monomial()
+    m = parse_monomial("1_-3 2_1^-1")
+    x = ex.encode(m)
+    assert ex.base == -3 and x[0] == 1  # the base power is field 0
+    assert ex.decode(x) == m
+    limit = 1 << (ex.bits - 1)  # a field holds |e| < limit
+    for e in (limit - 1, 1 - limit):
+        edge = Monomial({(1, -3): e, (2, -2): -e, (3, 997): e, (4, 0): 1})
+        x = ex.encode(edge)
+        assert ex.bits == 16 and ex.decode(x) == edge
+        # a product is the elementwise sum while every digit fits
+        other = parse_monomial("1_-2 4_0^-1")
+        y = ex.encode(other)
+        assert ex.decode(tuple(map(add, x, y))) == edge * other
+    # one past the limit widens the fields; it never wraps
+    for e in (limit, -limit):
+        wide = _Expander(D4)
+        edge = Monomial({(2, 5): e, (2, 6): -1, (3, 5): 1})
+        x = wide.encode(edge)
+        assert wide.bits == 32 and wide.decode(x) == edge
+    big = Monomial.y(1, 0, 40_000)
+    a1 = _Expander(A1)
+    x = a1.start(big)  # room for 40,000 root steps below it as well
+    assert a1.bits == 32 and a1.decode(x) == big
+
+
+def test_runs_start_over_on_wider_fields():
+    # 4-bit fields hold |e| <= 7; the A1 string of length 7 starts at
+    # exponent 1, and its node-1 expansion reaches 7 root steps below
+    m = kr_highest(A1, 1, 7, 0)
+    ex = _Expander(A1)
+    ex.bits = 4
+    x = ex.start(m)
+    with pytest.raises(expansion._FieldsWidened):
+        ex.templates(x, 0, 0)
+    assert ex.bits == 8
+    narrow = _Expander(A1)
+    narrow.bits = 4
+    assert (fm_algorithm(A1, m, _expander=narrow).to_json()
+            == fm_algorithm(A1, m).to_json())
+    # the process widens mid-run, after its first expansions
+    start = parse_monomial("1_3 1_5 2_0")
+    narrow = _Expander(D4)
+    narrow.bits = 4
+    trace = generate_process(D4, start, _expander=narrow)
+    assert narrow.bits > 4
+    assert trace.to_json() == generate_process(D4, start).to_json()
+    # 3-bit fields leave room for 2 root steps below the start
+    narrow = _Expander(A3)
+    narrow.bits = 3
+    m = parse_monomial("1_1 3_1 2_4")
+    rep = fm_algorithm(A3, m, _expander=narrow)
+    assert rep.verdict == NOT_SPECIAL and narrow.bits > 3
+    assert rep.to_json() == fm_algorithm(A3, m).to_json()
+
+
+def test_empirical_cell_packs_each_template_once(monkeypatch):
+    # the cell's engine takes the string's lowest power as its base, so
+    # no closure or certifying process of the cell rebuilds a template
+    builds = []
+    build = _Expander._build
+
+    def counted(self, s, v):
+        builds.append((self.c.nodes[s], tuple(self._powers(v).items())))
+        return build(self, s, v)
+
+    monkeypatch.setattr(_Expander, "_build", counted)
+    cell = check_small_empirical(A3, 2, 3, 0)
+    emp = cell.empirical
+    assert len(emp.reports) > 1 and emp.not_special  # processes certified
+    assert builds and len(builds) == len(set(builds))
