@@ -24,11 +24,12 @@ never leave their root's class and settle after it, so no class is ever
 re-derived.  Forcing a second dominant monomial refutes the assumption; the
 refutation is then certified with a generation-process chain.
 
-The closure, the generation process and chain replay expand through one
-``_Expander`` per run (per cell in the empirical pipeline), which calls
+The closure and the generation process expand through one ``_Expander``
+per run (per cell in the empirical pipeline), which calls
 ``expand_Li_steps`` once per shape (a node restriction up to a shift by a
 multiple of r_i).  The engine alone decides whether a root is i-dominant,
-and hands out the step-table delta of each result but the root.
+and hands out the step-table delta of each result but the root.  Chain
+replay shares none of it: each step is checked against ``expand_Li``.
 
 Inside a run, the closure and the process hold each monomial packed: a
 tuple with one int per node, in ``c.nodes`` order, where each power from a
@@ -189,8 +190,8 @@ def _rerun_when_widened(run, *args):
 
 
 class _Expander:
-    """The one place that expands a root at a node, once per shape, and the
-    owner of the packed layout that the closure and the process run on.
+    """The one place where the closure and the process expand a root at a
+    node, once per shape, and the owner of the packed layout they run on.
 
     Layout.  Inside a run a monomial is a tuple with one int per node, in
     ``c.nodes`` order.  Node j's int is the sum of e << bits * (p - base)
@@ -230,8 +231,7 @@ class _Expander:
     so the closures and certifying processes of a cell share them.
     """
 
-    __slots__ = ("c", "_slot", "base", "bits", "_room", "_shapes", "_packed",
-                 "_deltas")
+    __slots__ = ("c", "_slot", "base", "bits", "_room", "_shapes", "_packed")
 
     def __init__(self, c: CartanData, base=None):
         self.c = c
@@ -242,23 +242,6 @@ class _Expander:
         self._shapes = {}  # (i, shape) -> (base, templates) of its first restriction
         # per slot, packed restriction -> (largest total, packed templates)
         self._packed = [{} for _ in c.nodes]
-        # per slot, packed restriction -> the deltas occurs accepts, 1 included
-        self._deltas = [{} for _ in c.nodes]
-
-    def encode(self, m: Monomial, reach: int = 0) -> tuple:
-        """``m`` packed.  The base is lowered to m's lowest power, and the
-        fields are widened to hold |e| + reach for each exponent e of m,
-        where that is needed."""
-        items = m.items()
-        low = min((p for (_, p), _ in items),
-                  default=0 if self.base is None else self.base)
-        need = max((abs(e) for _, e in items), default=0) + reach
-        if self.base is None or low < self.base or need >> (self.bits - 1):
-            self.base = low if self.base is None else min(low, self.base)
-            while need >> (self.bits - 1):
-                self.bits *= 2
-            self._new_layout()
-        return self._pack(items)
 
     def decode(self, x) -> Monomial:
         """The monomial of a packed tuple."""
@@ -266,12 +249,25 @@ class _Expander:
                          for p, e in self._powers(v).items()})
 
     def start(self, m: Monomial) -> tuple:
-        """``m`` packed for a run from it, with room for witness totals at
-        least up to its largest exponent."""
-        top = max((abs(e) for _, e in m.items()), default=0)
-        x = self.encode(m, top)
+        """``m`` packed for a run from it.  The base is lowered to m's
+        lowest power, and the fields are widened until they hold twice m's
+        largest |e|, so that the run has room for witness totals at least
+        up to that exponent."""
+        base, top = self.base, 0
+        for (_, p), e in m.items():
+            if base is None or p < base:
+                base = p
+            if abs(e) > top:
+                top = abs(e)
+        if base is None:
+            base = 0  # the identity on an engine that has seen no power
+        if base != self.base or (2 * top) >> (self.bits - 1):
+            self.base = base
+            while (2 * top) >> (self.bits - 1):
+                self.bits *= 2
+            self._new_layout()
         self._room = (1 << (self.bits - 1)) - 1 - top
-        return x
+        return self._pack(m.items())
 
     def templates(self, x, s, total):
         """None if the packed root ``x``, at witness total ``total`` in the
@@ -288,20 +284,6 @@ class _Expander:
             self._new_layout()
             raise _FieldsWidened
         return tpl
-
-    def occurs(self, root: Monomial, i, nu: Monomial) -> bool:
-        """Whether ``root`` is i-dominant and ``nu`` occurs in its node-i
-        expansion."""
-        s = self._slot.get(i)
-        if s is None or any(j not in self._slot for (j, _), _ in root.items()):
-            return False  # a node outside the diagram
-        v = self.encode(root)[s]
-        deltas = self._deltas[s].get(v)
-        if deltas is None:
-            tpl = (self._packed[s].get(v) or self._build(s, v))[1]
-            deltas = self._deltas[s][v] = set() if tpl is None else {
-                Monomial(), *(delta for *_, delta in tpl)}
-        return nu * root.inverse() in deltas
 
     def _build(self, s, v):
         """(largest total, templates) of the packed restriction ``v`` at
@@ -320,9 +302,9 @@ class _Expander:
         d = base - first[0]
         tpl = []
         for delta, t, total in first[1]:
-            x = self._pack(delta.exponents(), d)
+            x = self._pack(delta.items(), d)
             if d:
-                delta = Monomial({(j, p + d): e for (j, p), e in delta.exponents()})
+                delta = Monomial({(j, p + d): e for (j, p), e in delta.items()})
             tpl.append((x, t, total, delta))
         return max((total for _, _, total, _ in tpl), default=0), tpl
 
@@ -352,7 +334,7 @@ class _Expander:
         return out
 
     def _new_layout(self):
-        for cache in self._packed + self._deltas:
+        for cache in self._packed:
             cache.clear()
 
 
@@ -394,14 +376,23 @@ class GenerationTrace:
         return m in self.chains
 
     def replay(self, c: CartanData) -> bool:
-        """Re-run every chain: each root must be node-dominant and each
-        result must occur in the recorded expansion."""
-        ex = _Expander(c)
+        """Re-run every chain through ``expand_Li``, apart from the engine
+        that generated it: the start and every step's node must lie in the
+        diagram, each root must be node-dominant and each result must occur
+        in the root's expansion at that node."""
+        if any(j not in c.nodes for (j, _), _ in self.start.items()):
+            return False
+        expansions = {}  # (root, node) -> its expansion
         for m, chain in self.chains.items():
             cur = self.start
             for step in chain:
-                if step.root != cur or not ex.occurs(step.root, step.node,
-                                                     step.result):
+                if (step.root != cur or step.node not in c.nodes
+                        or not step.root.is_dominant([step.node])):
+                    return False
+                key = (step.root, step.node)
+                if key not in expansions:
+                    expansions[key] = expand_Li(c, step.root, step.node)
+                if step.result not in expansions[key]:
                     return False
                 cur = step.result
             if cur != m:
@@ -458,8 +449,9 @@ def _generate(c, m, budget, stop_on_dominant, ex):
     """The run of ``generate_process`` on the packed layout of ``ex``; it
     raises ``_FieldsWidened`` when ``ex`` widened its fields mid-run."""
     x0 = ex.start(m)
-    chains = {x0: ()}
-    canonical = {x0: x0}  # one tuple per monomial, shared by chains and covered
+    chains = {m: ()}
+    generated = {x0}
+    canonical = {x0: x0}  # one tuple per monomial, shared by generated and covered
     covered = [set() for _ in c.nodes]
     heap = [(0, m.key, x0, m)]
     steps = 0
@@ -482,19 +474,21 @@ def _generate(c, m, budget, stop_on_dominant, ex):
                 stop = True
                 break
             steps += 1
-            new = [(mu * delta, nu, total + n)
-                   for nu, (_, _, n, delta) in zip(results, tpl) if nu not in chains]
-            for nu_m, nu, nu_total in sorted(new, key=lambda r: r[0].key):
-                chains[nu] = chains[x] + (TraceStep(i, mu, nu_m),)
-                heapq.heappush(heap, (nu_total, nu_m.key, nu, nu_m))
+            # every monomial is pushed once, under its own key, so the
+            # order of the pushes never changes a pop
+            chain = chains[mu]
+            for nu, (_, _, n, delta) in zip(results, tpl):
+                if nu in generated:
+                    continue
+                generated.add(nu)
+                nu_m = mu * delta
+                chains[nu_m] = chain + (TraceStep(i, mu, nu_m),)
+                heapq.heappush(heap, (total + n, nu_m.key, nu, nu_m))
                 if stop_on_dominant and nu_m.is_dominant():
                     stop = True
             if stop:
                 break
-    # a chain ends at its monomial; the start's chain is empty
-    return GenerationTrace(start=m, chains={ch[-1].result if ch else m: ch
-                                            for ch in chains.values()},
-                           partial=partial, steps=steps)
+    return GenerationTrace(start=m, chains=chains, partial=partial, steps=steps)
 
 
 @dataclass
@@ -611,7 +605,7 @@ def _fm_closure(c, m, budget, order_within_level, ex):
             if tpl is None:
                 return None, steps, (f"node-{i} class leaves non-dominant "
                                      f"{format_monomial(mu)} unexplained")
-            new = []
+            forced = None  # the least new dominant result, by canonical key
             for d, t, n, delta in tpl:
                 nu = tuple(map(add, x, d))
                 f = share[nu] = share.get(nu, 0) + coeff * t
@@ -619,14 +613,16 @@ def _fm_closure(c, m, budget, order_within_level, ex):
                 if f > old:
                     mult[nu] = f
                 if not old:
-                    new.append((mu * delta, nu, total + n))
-            for nu_m, nu, nu_total in sorted(new, key=lambda r: r[0].key):
-                heapq.heappush(heap, (nu_total, tie_key(nu_m), nu, nu_m))
-                if nu_m.is_dominant():
-                    return nu_m, steps, (
-                        "closure forces dominant monomial "
-                        f"{format_monomial(nu_m)} but the generation process "
-                        "found no replayable witness within budget")
+                    nu_m = mu * delta
+                    heapq.heappush(heap, (total + n, tie_key(nu_m), nu, nu_m))
+                    if nu_m.is_dominant() and (forced is None
+                                               or nu_m.key < forced.key):
+                        forced = nu_m
+            if forced is not None:
+                return forced, steps, (
+                    "closure forces dominant monomial "
+                    f"{format_monomial(forced)} but the generation process "
+                    "found no replayable witness within budget")
 
     return SpecialnessReport(SPECIAL_FM_CONSISTENT, m,
                              qchar=QCharacter(terms, highest=m), steps=steps)

@@ -27,19 +27,18 @@ class Monomial:
     """Sparse exponent map (node, power) -> nonzero integer.
 
     Instances are immutable values: multiplication returns fresh objects
-    and zero exponents are never stored, so equality and hashing read the
-    exponent map itself.  The canonical key (the sorted item tuple, the
-    deterministic tie-breaker and rendering order) is sorted on first read
-    and cached; a product is never sorted unless its key is read.
+    and zero exponents are never stored.  ``key``, the sorted item tuple,
+    is the canonical form: the deterministic tie-breaker, the rendering
+    order and the hash.
     """
 
-    __slots__ = ("_e", "_key", "_hash")
+    __slots__ = ("_e", "key", "_hash")
 
     def __init__(self, exponents=None):
         e = {k: v for k, v in (exponents or {}).items() if v}
         self._e = e
-        self._key = None
-        self._hash = hash(frozenset(e.items()))
+        self.key = tuple(sorted(e.items()))
+        self._hash = hash(self.key)
 
     @classmethod
     def one(cls):
@@ -48,14 +47,6 @@ class Monomial:
     @classmethod
     def y(cls, i, r, e=1):
         return cls({(i, r): e})
-
-    @property
-    def key(self):
-        """The sorted item tuple, sorted on first read."""
-        key = self._key
-        if key is None:
-            key = self._key = tuple(sorted(self._e.items()))
-        return key
 
     def __hash__(self):
         return self._hash
@@ -76,8 +67,8 @@ class Monomial:
                 e.pop(k, None)
         m = Monomial.__new__(Monomial)
         m._e = e
-        m._key = None
-        m._hash = hash(frozenset(e.items()))
+        m.key = key = tuple(sorted(e.items()))
+        m._hash = hash(key)
         return m
 
     def inverse(self):
@@ -98,11 +89,6 @@ class Monomial:
 
     def items(self):
         return self.key
-
-    def exponents(self):
-        """The ((node, power), exponent) pairs in no fixed order; unlike
-        ``items``, this never sorts the key."""
-        return self._e.items()
 
     def is_identity(self) -> bool:
         return not self._e
