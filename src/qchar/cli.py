@@ -66,13 +66,24 @@ _BUDGETS = {
 }
 
 
+def _budget_flag(text) -> int:
+    """A budget flag's value, refused at parse time unless positive."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError("budgets must be positive")
+    return value
+
+
 def _add_common(p, budgets=tuple(_BUDGETS), r=False):
     """Add ``--r`` if asked, the flags of the named budgets, and --format."""
     if r:
         p.add_argument("--r", type=int, default=0,
                        help="base spectral power (default 0)")
     for name in budgets:
-        p.add_argument(_BUDGETS[name][0], type=int, default=None)
+        p.add_argument(_BUDGETS[name][0], type=_budget_flag, default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
 
@@ -84,8 +95,6 @@ def _budgets(args) -> Budgets:
         if hasattr(args, name):
             flag = getattr(args, name)
             values[name] = flag if flag is not None else _env_default(env, default)
-    if any(v <= 0 for v in values.values()):
-        raise DiagramError("budgets must be positive")
     return Budgets(**values)
 
 

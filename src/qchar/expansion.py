@@ -243,11 +243,6 @@ class _Expander:
         # per slot, packed restriction -> (largest total, packed templates)
         self._packed = [{} for _ in c.nodes]
 
-    def decode(self, x) -> Monomial:
-        """The monomial of a packed tuple."""
-        return Monomial({(j, p): e for j, v in zip(self.c.nodes, x)
-                         for p, e in self._powers(v).items()})
-
     def start(self, m: Monomial) -> tuple:
         """``m`` packed for a run from it.  The base is lowered to m's
         lowest power, and the fields are widened until they hold twice m's

@@ -2,8 +2,9 @@
 
 Spectral parameters live in a single q-orbit: a variable is indexed by a
 node i and an integer power r standing for Y_{i,q^r}.  Everything is exact
-integer arithmetic on sparse exponent maps, canonically ordered node-major
-then power-ascending.
+integer arithmetic on sparse exponent maps.  A monomial stores only its
+canonical key, the tuple of its nonzero ((node, power), exponent) pairs
+ordered node-major then power-ascending.
 
 The root monomial A_{i,q^r} is
 
@@ -28,17 +29,16 @@ class Monomial:
 
     Instances are immutable values: multiplication returns fresh objects
     and zero exponents are never stored.  ``key``, the sorted item tuple,
-    is the canonical form: the deterministic tie-breaker, the rendering
-    order and the hash.
+    is the one stored form: the deterministic tie-breaker, the rendering
+    order and the hash, and every accessor reads it.
     """
 
-    __slots__ = ("_e", "key", "_hash")
+    __slots__ = ("key", "_hash")
 
     def __init__(self, exponents=None):
-        e = {k: v for k, v in (exponents or {}).items() if v}
-        self._e = e
-        self.key = tuple(sorted(e.items()))
-        self._hash = hash(self.key)
+        self.key = key = tuple(sorted(
+            (k, v) for k, v in (exponents or {}).items() if v))
+        self._hash = hash(key)
 
     @classmethod
     def one(cls):
@@ -52,52 +52,44 @@ class Monomial:
         return self._hash
 
     def __eq__(self, other):
-        return isinstance(other, Monomial) and self._e == other._e
+        return isinstance(other, Monomial) and self.key == other.key
 
     def __mul__(self, other):
-        a, b = self._e, other._e
+        a, b = self.key, other.key
         if len(a) < len(b):
             a, b = b, a
         e = dict(a)
-        for k, v in b.items():
+        for k, v in b:
             w = e.get(k, 0) + v
             if w:
                 e[k] = w
             else:
-                e.pop(k, None)
+                del e[k]
         m = Monomial.__new__(Monomial)
-        m._e = e
         m.key = key = tuple(sorted(e.items()))
         m._hash = hash(key)
         return m
 
-    def inverse(self):
-        return Monomial({k: -v for k, v in self._e.items()})
-
     def __pow__(self, n: int):
-        if n == 0:
-            return Monomial()
-        return Monomial({k: n * v for k, v in self._e.items()})
+        return Monomial({k: n * v for k, v in self.key})
 
     def u(self, i, r) -> int:
         """Exponent of Y_{i,q^r}."""
-        return self._e.get((i, r), 0)
+        return dict(self.key).get((i, r), 0)
 
     def node_powers(self, i) -> dict:
         """The map power -> exponent restricted to node i."""
-        return {r: v for (j, r), v in self._e.items() if j == i}
+        return {r: v for (j, r), v in self.key if j == i}
 
     def items(self):
         return self.key
 
     def is_identity(self) -> bool:
-        return not self._e
+        return not self.key
 
     def max_power(self):
         """Largest power carrying a nonzero exponent (None for the identity)."""
-        if not self._e:
-            return None
-        return max(r for (_, r) in self._e)
+        return max((r for (_, r), _ in self.key), default=None)
 
     def is_dominant(self, nodes=None) -> bool:
         """True iff all stored exponents at the given nodes are nonnegative.
@@ -105,7 +97,7 @@ class Monomial:
         ``nodes`` is a collection of nodes, ``None`` for every node (plain
         dominance).
         """
-        for (j, _), v in self._e.items():
+        for (j, _), v in self.key:
             if v < 0 and (nodes is None or j in nodes):
                 return False
         return True
@@ -194,7 +186,7 @@ class AWitness:
 
     def apply(self, c: CartanData, m: Monomial) -> Monomial:
         """m * prod A_{i,q^r}^{-v}."""
-        e = dict(m._e)
+        e = dict(m.key)
         for (i, r), x in self.key:
             for (j, p), ae in c.a_row(i):
                 kk = (j, r + p)
@@ -223,8 +215,8 @@ def divide_as_a_product(c: CartanData, target: Monomial, source: Monomial):
     nonnegative A-lattice (a positive forced exponent, a factor below the
     ratio's own support, or a residue left there).
     """
-    work = dict(target._e)
-    for kk, x in source._e.items():
+    work = dict(target.key)
+    for kk, x in source.key:
         w = work.get(kk, 0) - x
         if w:
             work[kk] = w

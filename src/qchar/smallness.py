@@ -155,7 +155,8 @@ def enumerate_dominant_below(c: CartanData, i, k: int, r: int,
     steps = [tuple((pos.setdefault((l, p + d), len(pos)), -ae)
                    for (l, d), ae in c.a_row(j)) for j, p in cells]
     keys = list(pos)
-    expo = [X.u(*key) for key in keys]
+    u = dict(X.items())
+    expo = [u.get(key, 0) for key in keys]
     # check[idx]: keys that cell idx-1 touches and no cell from idx on raises
     check = [()] * (n + 1)
     raised = set()

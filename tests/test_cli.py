@@ -163,11 +163,17 @@ def test_budget_exhaustion_exit_4(capsys):
 
 @pytest.mark.parametrize("flag", ["--fm-steps", "--process-steps", "--enum-nodes"])
 def test_zero_budget_flag_exit_2(capsys, flag):
-    # each flag on a command that reads it
-    argv = (["enumerate", "--g", "A2", "--i", "1", "--k", "1"] if flag == "--enum-nodes"
-            else ["qchar", "--g", "A2", "1_0"])
-    code, _, err = run(capsys, *argv, flag, "0")
-    assert code == 2 and "budgets must be positive" in err
+    # each flag on a command that reads it, and on classify without
+    # --empirical, which takes the flags but reads none: refused at parse time
+    reader = (["enumerate", "--g", "A2", "--i", "1", "--k", "1"] if flag == "--enum-nodes"
+              else ["qchar", "--g", "A2", "1_0"])
+    for argv in (reader, ["classify", "--g", "A3", "--i", "2", "--k", "3"]):
+        for value in ("0", "-5"):
+            code, out, err = run(capsys, *argv, flag, value)
+            assert code == 2 and out == ""
+            assert f"argument {flag}: budgets must be positive" in err
+    code, out, err = run(capsys, *reader, flag, "x")
+    assert code == 2 and out == "" and f"argument {flag}: invalid int value: 'x'" in err
 
 
 _ALL_BUDGETS = ("fm_steps", "process_steps", "enum_nodes")

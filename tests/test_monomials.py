@@ -31,7 +31,7 @@ def test_monomial_canonical_form():
     m = Monomial({(1, 3): 2, (2, 0): 0, (1, -1): 1})
     assert m.key == (((1, -1), 1), ((1, 3), 2))
     assert m.u(2, 0) == 0
-    assert m * m.inverse() == Monomial.one()
+    assert m * m ** -1 == Monomial.one()
     assert (m ** 3).u(1, 3) == 6
 
 
@@ -51,9 +51,9 @@ def _equal_routes(rng, exps):
     m = Monomial(exps)
     return [Monomial(dict(items)),
             a * b, b * a,
-            (a * z) * (b * z.inverse()),
-            m * a * a.inverse(),
-            m.inverse().inverse(),
+            (a * z) * (b * z ** -1),
+            m * a * a ** -1,
+            (m ** -1) ** -1,
             m ** 1, (m ** -1) ** -1 * Monomial.one(),
             (m ** 3) * (m ** -2),
             parse_monomial(format_monomial(m))]
@@ -78,10 +78,23 @@ def test_equal_monomials_hash_and_compare_alike():
         for m in routes:
             assert m == first and hash(m) == hash(first) and table[m] == 0
             assert m.key == want and m.key is m.key
+        # every accessor reads the key alike, whatever route built it
+        u = dict(want)
+        probes = list(u) + [(j, r) for j in range(1, 6) for r in (-7, 0, 7)]
+        for m in routes:
+            for j, r in probes:
+                assert m.u(j, r) == u.get((j, r), 0)
+            for j in range(1, 6):
+                assert list(m.node_powers(j).items()) == [
+                    (r, v) for (l, r), v in want if l == j]
+                assert m.is_dominant([j]) == all(v > 0 for (l, _), v in want if l == j)
+            assert m.is_dominant() == all(v > 0 for v in u.values())
+            assert m.is_identity() == (not u)
+            assert m.max_power() == max((r for _, r in u), default=None)
         other = first * Monomial.y(5, 0)
         assert other != first and other not in table
         # a product that cancels to the identity
-        one = first * first.inverse()
+        one = first * first ** -1
         assert one == Monomial.one() and hash(one) == hash(Monomial.one())
         assert one.is_identity() and one.key == ()
     assert Monomial({(1, 0): 0}) == Monomial.one()

@@ -171,7 +171,7 @@ def test_kr_characters_satisfy_the_t_system(name):
         # the left-hand highest monomial: A_{i,p}^{-1} for p in the string at r
         top = kr_highest(c, i, k, r - 1) * kr_highest(c, i, k, r + 1)
         for p in kr_highest(c, i, k, r).node_powers(i):
-            top = top * a_monomial(c, i, p).inverse()
+            top = top * a_monomial(c, i, p) ** -1
         high = Monomial.one()
         for j in c.neighbors(i):
             high = high * kr_highest(c, j, k, r)
