@@ -41,9 +41,9 @@ since one root step moves a field by at most 1, every exponent of a
 monomial T steps below the start m stays within max |e_m| + T, and the
 engine widens its fields and restarts the run before that bound reaches
 the limit.  A result is the root plus a packed template delta, so equality
-and hashing are on ints, and a ``Monomial`` is built only for a new
-monomial, for its tie key and for the output (``QCharacter``, chains and
-reports).
+and hashing are on ints.  A ``Monomial`` is built only for a new monomial,
+for its tie key and the output (``QCharacter``, chains and reports), from
+a key and a dominance read per node int from the engine, with no sort.
 """
 
 from __future__ import annotations
@@ -215,7 +215,7 @@ class _Expander:
     pass the field limit, doubles ``bits`` and raises ``_FieldsWidened``,
     and the run starts over.  So a field never wraps, and a template power
     below the base raises (a negative shift).  A new layout drops the
-    packed caches.
+    packed caches and the key pairs: its node ints mean other exponents.
 
     Templates.  ``expand_Li_steps`` reads a root only through its node-i
     restriction, and shifting that restriction by a multiple of r_i shifts
@@ -223,15 +223,20 @@ class _Expander:
     restriction shifted down by ``r_i * (min power // r_i)``.  The first
     restriction of a shape is expanded once, as a bare node-i monomial, and
     its non-root results are kept as ``(delta, multiplicity, total)``; any
-    other restriction of that shape shifts each ``delta``.  Each packed
-    restriction keeps its templates ``(packed delta, multiplicity, total,
-    delta)``, so a result is ``tuple(map(add, root, packed delta))``, and
-    only a new one costs a ``Monomial`` product.  A restriction with a
-    negative exponent gets None.  The caches live as long as the engine,
-    so the closures and certifying processes of a cell share them.
+    other restriction of that shape packs each ``delta`` shifted.  Each
+    packed restriction keeps its templates ``(packed delta, multiplicity,
+    total)``, so a result is ``tuple(map(add, root, packed delta))``.  A
+    restriction with a negative exponent gets None.
+
+    Keys.  Few distinct ints occur at a slot, so each int's key pairs and a
+    no-negative-exponent flag are cached per slot; ``read`` joins the pairs
+    in ascending node order (not ``c.nodes`` order), which is the canonical
+    key, and ANDs the flags.  The caches live as long as the engine, so the
+    closures and certifying processes of a cell share them.
     """
 
-    __slots__ = ("c", "_slot", "base", "bits", "_room", "_shapes", "_packed")
+    __slots__ = ("c", "_slot", "base", "bits", "_room", "_shapes", "_packed",
+                 "_seen", "_by_node")
 
     def __init__(self, c: CartanData, base=None):
         self.c = c
@@ -242,6 +247,9 @@ class _Expander:
         self._shapes = {}  # (i, shape) -> (base, templates) of its first restriction
         # per slot, packed restriction -> (largest total, packed templates)
         self._packed = [{} for _ in c.nodes]
+        # per slot, node int -> (its key pairs, no negative exponent)
+        self._seen = [{} for _ in c.nodes]
+        self._by_node = [(s, self._seen[s]) for _, s in sorted(self._slot.items())]
 
     def start(self, m: Monomial) -> tuple:
         """``m`` packed for a run from it.  The base is lowered to m's
@@ -280,28 +288,44 @@ class _Expander:
             raise _FieldsWidened
         return tpl
 
+    def read(self, x):
+        """The canonical key of the packed ``x``, and whether ``x`` is
+        dominant, joined from the cached pairs of its node ints."""
+        key, dominant = (), True
+        for s, seen in self._by_node:
+            entry = seen.get(x[s]) or self._node(s, x[s])
+            key += entry[0]
+            dominant &= entry[1]
+        return key, dominant
+
+    def _node(self, s, v):
+        """The node int ``v`` at slot ``s`` as its ((node, power), exponent)
+        pairs in ascending power, and whether none is negative; cached."""
+        seen = self._seen[s]
+        if v not in seen:
+            j = self.c.nodes[s]
+            pairs = tuple(((j, p), e) for p, e in self._powers(v).items())
+            seen[v] = (pairs, all(e > 0 for _, e in pairs))
+        return seen[v]
+
     def _build(self, s, v):
         """(largest total, templates) of the packed restriction ``v`` at
         slot ``s``, or (0, None) if it has a negative exponent."""
-        i = self.c.nodes[s]
-        restr = self._powers(v)
-        if any(e < 0 for e in restr.values()):
+        restr, dominant = self._node(s, v)
+        if not dominant:
             return 0, None
+        i = self.c.nodes[s]
         ri = self.c.r(i)
-        base = ri * (min(restr) // ri) if restr else 0
-        shape = (i, tuple((r - base, e) for r, e in restr.items()))
+        base = ri * (restr[0][0][1] // ri) if restr else 0
+        shape = (i, tuple((p - base, e) for (_, p), e in restr))
         first = self._shapes.get(shape)
         if first is None:
-            bare = Monomial({(i, r): e for r, e in restr.items()})
-            first = self._shapes[shape] = (base, expand_Li_steps(self.c, bare, i)[1:])
+            first = self._shapes[shape] = (
+                base, expand_Li_steps(self.c, Monomial._from_key(restr), i)[1:])
         d = base - first[0]
-        tpl = []
-        for delta, t, total in first[1]:
-            x = self._pack(delta.items(), d)
-            if d:
-                delta = Monomial({(j, p + d): e for (j, p), e in delta.items()})
-            tpl.append((x, t, total, delta))
-        return max((total for _, _, total, _ in tpl), default=0), tpl
+        tpl = [(self._pack(delta.items(), d), t, total)
+               for delta, t, total in first[1]]
+        return max((total for _, _, total in tpl), default=0), tpl
 
     def _pack(self, items, shift=0) -> tuple:
         """((node, power), exponent) pairs packed, each power raised by
@@ -329,7 +353,7 @@ class _Expander:
         return out
 
     def _new_layout(self):
-        for cache in self._packed:
+        for cache in self._packed + self._seen:
             cache.clear()
 
 
@@ -459,7 +483,7 @@ def _generate(c, m, budget, stop_on_dominant, ex):
             if tpl is None:
                 continue
             results = [canonical.setdefault(nu, nu) for nu in
-                       (tuple(map(add, x, d)) for d, _, _, _ in tpl)]
+                       (tuple(map(add, x, d)) for d, _, _ in tpl)]
             blocked = x in covered[s]
             covered[s].update(results)
             if blocked:
@@ -472,14 +496,15 @@ def _generate(c, m, budget, stop_on_dominant, ex):
             # every monomial is pushed once, under its own key, so the
             # order of the pushes never changes a pop
             chain = chains[mu]
-            for nu, (_, _, n, delta) in zip(results, tpl):
+            for nu, (_, _, n) in zip(results, tpl):
                 if nu in generated:
                     continue
                 generated.add(nu)
-                nu_m = mu * delta
+                key, dominant = ex.read(nu)
+                nu_m = Monomial._from_key(key)
                 chains[nu_m] = chain + (TraceStep(i, mu, nu_m),)
-                heapq.heappush(heap, (total + n, nu_m.key, nu, nu_m))
-                if stop_on_dominant and nu_m.is_dominant():
+                heapq.heappush(heap, (total + n, key, nu, nu_m))
+                if stop_on_dominant and dominant:
                     stop = True
             if stop:
                 break
@@ -601,17 +626,17 @@ def _fm_closure(c, m, budget, order_within_level, ex):
                 return None, steps, (f"node-{i} class leaves non-dominant "
                                      f"{format_monomial(mu)} unexplained")
             forced = None  # the least new dominant result, by canonical key
-            for d, t, n, delta in tpl:
+            for d, t, n in tpl:
                 nu = tuple(map(add, x, d))
                 f = share[nu] = share.get(nu, 0) + coeff * t
                 old = mult.get(nu, 0)
                 if f > old:
                     mult[nu] = f
                 if not old:
-                    nu_m = mu * delta
+                    key, dominant = ex.read(nu)
+                    nu_m = Monomial._from_key(key)
                     heapq.heappush(heap, (total + n, tie_key(nu_m), nu, nu_m))
-                    if nu_m.is_dominant() and (forced is None
-                                               or nu_m.key < forced.key):
+                    if dominant and (forced is None or key < forced.key):
                         forced = nu_m
             if forced is not None:
                 return forced, steps, (

@@ -41,6 +41,14 @@ class Monomial:
         self._hash = hash(key)
 
     @classmethod
+    def _from_key(cls, key):
+        """The monomial of an already canonical ``key``, trusted unchecked."""
+        m = cls.__new__(cls)
+        m.key = key
+        m._hash = hash(key)
+        return m
+
+    @classmethod
     def one(cls):
         return cls()
 
@@ -65,10 +73,7 @@ class Monomial:
                 e[k] = w
             else:
                 del e[k]
-        m = Monomial.__new__(Monomial)
-        m.key = key = tuple(sorted(e.items()))
-        m._hash = hash(key)
-        return m
+        return Monomial._from_key(tuple(sorted(e.items())))
 
     def __pow__(self, n: int):
         return Monomial({k: n * v for k, v in self.key})

@@ -6,7 +6,7 @@ from operator import add
 import pytest
 
 from qchar import expansion, sl2
-from qchar.cartan import build_diagram, parse_diagram
+from qchar.cartan import CartanData, build_diagram, parse_diagram
 from qchar.expansion import (
     DEFAULT_FM_STEPS,
     INCONCLUSIVE,
@@ -571,12 +571,14 @@ def test_expander_matches_expand_li_steps(series, rank, affine):
         x = ex.start(m)
         assert _reads(ex, x, m)
         tpl = ex.templates(x, s, 0)
-        # packed results are the packed results of expand_Li_steps, in order
+        # packed results are the packed results of expand_Li_steps, in order,
+        # and each reads back as its product's key and dominance
         got = [(m * delta, t, total) for delta, t, total in want[1:]]
-        assert [(tuple(map(add, x, d)), t, total) for d, t, total, _ in tpl] == \
+        assert [(tuple(map(add, x, d)), t, total) for d, t, total in tpl] == \
             [(ex._pack(mu.items()), t, total) for mu, t, total in got], \
             (format_monomial(m), i)
-        assert [delta for _, _, _, delta in tpl] == [delta for delta, _, _ in want[1:]]
+        assert [ex.read(tuple(map(add, x, d))) for d, _, _ in tpl] == \
+            [(mu.key, mu.is_dominant()) for mu, _, _ in got]
         char = expand_Li(c, m, i)
         assert {mu: t for mu, t, _ in got} == {
             mu: t for mu, t in char.terms.items() if mu != m}
@@ -680,6 +682,36 @@ def test_expansion_stays_above_its_root_and_moves_fields_by_its_total(
             assert max(abs(e) for _, e in delta.items()) <= total
             deltas += 1
     assert deltas > 300
+
+
+# D4 with its nodes listed in descending order: slot order is not key order
+D4_DESCENDING = CartanData("D4", D4.nodes[::-1], D4.cartan, D4.sym)
+
+
+@pytest.mark.parametrize("c", [build_diagram(*d) for d in LAYOUT_DIAGRAMS]
+                         + [D4_DESCENDING],
+                         ids=lambda c: f"{c.name}-{''.join(map(str, c.nodes))}")
+def test_engine_reads_each_result_key_as_the_product(c):
+    # the engine joins cached per-node pairs in ascending node order; the
+    # key must be the product's canonical key, whatever c.nodes order is
+    rng = random.Random(f"read {c.name} {c.nodes}")
+    ex = _Expander(c)
+    seen = {True: 0, False: 0}
+    starts = [Monomial()] + [_random_i_dominant(rng, c, rng.choice(c.nodes))
+                             for _ in range(300)]
+    for m in starts:
+        x = ex.start(m)
+        assert ex.read(x) == (m.key, m.is_dominant())
+        for s, i in enumerate(c.nodes):
+            tpl = ex.templates(x, s, 0)
+            if tpl is None:
+                continue
+            for (d, _, _), (delta, _, _) in zip(tpl, expand_Li_steps(c, m, i)[1:]):
+                mu = m * delta
+                got = ex.read(tuple(map(add, x, d)))
+                assert got == (mu.key, mu.is_dominant()), (format_monomial(m), i)
+                seen[got[1]] += 1
+    assert all(seen.values()), seen
 
 
 def test_enumerated_entries_lie_above_the_string():

@@ -7,10 +7,13 @@ first-node fundamentals have a closed ladder formula; minuscule and vector
 fundamentals elsewhere have textbook dimensions and are thin.  On types A,
 D and E the Kirillov-Reshetikhin characters satisfy the T-system
 (Nakajima, arXiv:math/0204185), which checks actual monomials and
-multiplicities where no tableau count exists.
+multiplicities where no tableau count exists: by multiplying characters,
+or by evaluating them at random points where the products are too large.
 """
 
 import itertools
+import math
+import random
 
 import pytest
 
@@ -102,9 +105,10 @@ def test_standard_product_dominates_string_character():
             assert prod.get(m, 0) >= t
 
 
-# (node, k) of every checked T-system identity, per diagram.  Left out for
-# the size of the left-hand product, not of any closure: D4 node 2 at k = 3
-# (1,582,379 terms), D5 node 2 at k = 2 (341,594), E6 nodes 2 and 4 at
+# (node, k) of every T-system identity checked by products, per diagram.
+# Left out for the size of the left-hand product, not of any closure: D4
+# node 2 at k = 3 (1,582,379 terms) and D5 node 2 at k = 2 (341,594), which
+# T_SYSTEM_EVALUATED checks by evaluation instead, E6 nodes 2 and 4 at
 # k = 1 (86,373 each) and E6 node 3 at k = 1 (3,790,864).
 T_SYSTEM_CELLS = {
     "A2": [(i, k) for i in (1, 2) for k in (1, 2, 3)],
@@ -129,24 +133,32 @@ def _sum_product(*chars):
     return out
 
 
-@pytest.mark.parametrize("name", sorted(T_SYSTEM_CELLS))
-def test_kr_characters_satisfy_the_t_system(name):
-    # chi(W_{k,r-1}) chi(W_{k,r+1})
-    #     = chi(W_{k+1,r}) chi(W_{k-1,r}) + prod_{j~i} chi(W^{(j)}_{k,r}),
-    # W^{(i)}_{k,r} = L(kr_highest(c, i, k, r)), W_0 = 1
-    c = parse_diagram(name)
-    r = 0
+def _t_system_characters(c, cells, r):
+    """(i, k, s) -> terms of every KR module W^{(i)}_{k,s} that the T-system
+    identities of ``cells`` at r name, each a SpecialFMConsistent closure.
+
+    chi(W_{k,r-1}) chi(W_{k,r+1})
+        = chi(W_{k+1,r}) chi(W_{k-1,r}) + prod_{j~i} chi(W^{(j)}_{k,r}),
+    W^{(i)}_{k,r} = L(kr_highest(c, i, k, r)), W_0 = 1 (left out)."""
     modules = set()
-    for i, k in T_SYSTEM_CELLS[name]:
+    for i, k in cells:
         modules |= {(i, k, r - 1), (i, k, r + 1), (i, k + 1, r), (i, k - 1, r)}
         modules |= {(j, k, r) for j in c.neighbors(i)}
     chars = {}
     for i, k, s in modules:
         if k == 0:
-            continue  # W_0 = 1
+            continue
         rep = fm_algorithm(c, kr_highest(c, i, k, s))
-        assert rep.verdict == SPECIAL_FM_CONSISTENT, (name, i, k, s)
+        assert rep.verdict == SPECIAL_FM_CONSISTENT, (c.name, i, k, s)
         chars[i, k, s] = rep.qchar.terms
+    return chars
+
+
+@pytest.mark.parametrize("name", sorted(T_SYSTEM_CELLS))
+def test_kr_characters_satisfy_the_t_system(name):
+    c = parse_diagram(name)
+    r = 0
+    chars = _t_system_characters(c, T_SYSTEM_CELLS[name], r)
     # a monomial as one int, a 16-bit signed digit per variable, so that
     # a product of monomials is the sum of their ints
     slot = {v: 16 * n for n, v in enumerate(sorted(
@@ -176,3 +188,44 @@ def test_kr_characters_satisfy_the_t_system(name):
         for j in c.neighbors(i):
             high = high * kr_highest(c, j, k, r)
         assert top == high and neighbours[packed(high)] == 1, (name, i, k)
+
+
+# (diagram, node, k) of T-system identities checked at random points, whose
+# left-hand products are too large to build (see T_SYSTEM_CELLS)
+T_SYSTEM_EVALUATED = [("D4", 2, 3), ("D5", 2, 2)]
+PRIME = 2 ** 61 - 1
+
+
+@pytest.mark.parametrize("name,i,k", T_SYSTEM_EVALUATED)
+def test_kr_characters_satisfy_the_t_system_at_random_points(name, i, k):
+    # each character is a Laurent polynomial in the Y_{j,p}: evaluate it at
+    # a seeded point modulo a prime and compare the two sides as numbers.
+    # A false identity survives a point with probability at most about
+    # deg / PRIME (Schwartz-Zippel), and no product is built
+    c = parse_diagram(name)
+    r = 0
+    chars = _t_system_characters(c, [(i, k)], r)
+    variables = sorted({v for terms in chars.values() for m in terms
+                        for v, _ in m.items()})
+    for seed in (1, 2):
+        rng = random.Random(f"t-system {name} {i} {k} {seed}")
+        point = {v: rng.randrange(1, PRIME) for v in variables}
+        powers = {}  # (variable, exponent) -> its value at the point
+
+        def value(m):
+            out = 1
+            for v, e in m.items():
+                if (v, e) not in powers:
+                    powers[v, e] = pow(point[v], e, PRIME)
+                out = out * powers[v, e] % PRIME
+            return out
+
+        def w(j, kk, s):
+            if kk == 0:
+                return 1
+            return sum(t * value(m) for m, t in chars[j, kk, s].items()) % PRIME
+
+        left = w(i, k, r - 1) * w(i, k, r + 1)
+        right = (w(i, k + 1, r) * w(i, k - 1, r)
+                 + math.prod(w(j, k, r) for j in c.neighbors(i)))
+        assert left % PRIME == right % PRIME, (name, i, k, seed)
