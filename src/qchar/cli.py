@@ -158,49 +158,80 @@ def _json_text(doc) -> str:
     slow path.
 
     With ``indent`` set, CPython renders through its pure-Python encoder.
-    Here containers are joined directly, scalars go through ``json.dumps``
-    and strings through the C escaper.  A Monomial or AWitness is rendered
-    from its sorted key as the list of its factor objects, each factor
-    rendered once per depth and reused.
+    Here every piece of the text is appended to one list, which is joined
+    once at the end, so no container's text is copied again by the
+    container around it.  Plain ints go through ``int.__repr__``, strings
+    through the C escaper and other scalars (bools, None, floats) through
+    ``json.dumps``; each ``"key": `` prefix is rendered once.  A Monomial
+    or AWitness is rendered from its sorted key as the list of its factor
+    objects, each factor rendered once per depth and reused.
     """
     enc = json.encoder.encode_basestring_ascii
+    out = []
+    put = out.append
+    names = {}  # dict key -> its rendered '"key": ' prefix
     memo = {}  # (depth, field) -> {factor: rendered factor object}
 
-    def block(opening, closing, items, pad):
-        if not items:
-            return opening + closing
-        inner = "\n" + pad + "  "
-        return opening + inner + ("," + inner).join(items) + "\n" + pad + closing
+    def scalar(v):
+        if type(v) is int:
+            return int.__repr__(v)
+        return enc(v) if isinstance(v, str) else json.dumps(v)
 
     def factors(key, field, pad):
+        if not key:
+            put("[]")
+            return
         inner = pad + "  "
         done = memo.setdefault((inner, field), {})
-        out = []
+        pieces = []
         for f in key:
             s = done.get(f)
             if s is None:
                 (i, r), e = f
-                s = done[f] = block("{", "}", [f'"node": {json.dumps(i)}',
-                                               f'"power": {json.dumps(r)}',
-                                               f'"{field}": {json.dumps(e)}'], inner)
-            out.append(s)
-        return block("[", "]", out, pad)
+                sep = ",\n" + inner + "  "
+                s = done[f] = (f'{{\n{inner}  "node": {scalar(i)}{sep}"power": '
+                               f'{scalar(r)}{sep}"{field}": {scalar(e)}\n{inner}}}')
+            pieces.append(s)
+        put("[\n" + inner)
+        put((",\n" + inner).join(pieces))
+        put("\n" + pad + "]")
 
-    def text(v, pad):
+    def write(v, pad):
         if isinstance(v, dict):
+            if not v:
+                put("{}")
+                return
             inner = pad + "  "
-            return block("{", "}", [f"{enc(k)}: {text(x, inner)}"
-                                    for k, x in v.items()], pad)
-        if isinstance(v, (list, tuple)):
+            sep = "{\n" + inner
+            for k, x in v.items():
+                name = names.get(k)
+                if name is None:
+                    name = names[k] = enc(k) + ": "
+                put(sep)
+                put(name)
+                write(x, inner)
+                sep = ",\n" + inner
+            put("\n" + pad + "}")
+        elif isinstance(v, (list, tuple)):
+            if not v:
+                put("[]")
+                return
             inner = pad + "  "
-            return block("[", "]", [text(x, inner) for x in v], pad)
-        if isinstance(v, Monomial):
-            return factors(v.key, "exponent", pad)
-        if isinstance(v, AWitness):
-            return factors(v.key, "count", pad)
-        return enc(v) if isinstance(v, str) else json.dumps(v)
+            sep = "[\n" + inner
+            for x in v:
+                put(sep)
+                write(x, inner)
+                sep = ",\n" + inner
+            put("\n" + pad + "]")
+        elif isinstance(v, Monomial):
+            factors(v.key, "exponent", pad)
+        elif isinstance(v, AWitness):
+            factors(v.key, "count", pad)
+        else:
+            put(scalar(v))
 
-    return text(doc, "")
+    write(doc, "")
+    return "".join(out)
 
 
 def _emit(args, doc, lines):

@@ -154,7 +154,8 @@ def expand_Li_steps(c: CartanData, m: Monomial, i) -> list:
              for c0 in sorted(classes)]
     row = c.a_row(i)
     out = []
-    for table, t in sl2.product(chars).items():
+    # one class (always when r_i = 1) is the whole character as it is
+    for table, t in (chars[0] if len(chars) == 1 else sl2.product(chars)).items():
         delta = {}
         for p, x in table:
             for (j, d), ae in row:
@@ -215,18 +216,23 @@ class _Expander:
     pass the field limit, doubles ``bits`` and raises ``_FieldsWidened``,
     and the run starts over.  So a field never wraps, and a template power
     below the base raises (a negative shift).  A new layout drops the
-    packed caches and the key pairs: its node ints mean other exponents.
+    packed caches, the packed shapes and the key pairs: its node ints mean
+    other exponents.
 
     Templates.  ``expand_Li_steps`` reads a root only through its node-i
     restriction, and shifting that restriction by a multiple of r_i shifts
     every delta by the same amount.  A restriction's shape is the
     restriction shifted down by ``r_i * (min power // r_i)``.  The first
     restriction of a shape is expanded once, as a bare node-i monomial, and
-    its non-root results are kept as ``(delta, multiplicity, total)``; any
-    other restriction of that shape packs each ``delta`` shifted.  Each
-    packed restriction keeps its templates ``(packed delta, multiplicity,
-    total)``, so a result is ``tuple(map(add, root, packed delta))``.  A
-    restriction with a negative exponent gets None.
+    its non-root results are kept as ``(delta, multiplicity, total)``.  In
+    each layout, the first restriction of a shape packs each ``delta``
+    shifted to it, once; a restriction of that shape at offset d >= 0 above
+    it shifts every packed node int left by ``bits * d``, which is the same
+    packing, and one below it packs from the deltas again, so that a power
+    below the base still raises.  Each packed restriction keeps its
+    templates ``(packed delta, multiplicity, total)``, so a result is
+    ``tuple(map(add, root, packed delta))``.  A restriction with a negative
+    exponent gets None.
 
     Keys.  Few distinct ints occur at a slot, so each int's key pairs and a
     no-negative-exponent flag are cached per slot; ``read`` joins the pairs
@@ -235,8 +241,8 @@ class _Expander:
     closures and certifying processes of a cell share them.
     """
 
-    __slots__ = ("c", "_slot", "base", "bits", "_room", "_shapes", "_packed",
-                 "_seen", "_by_node")
+    __slots__ = ("c", "_slot", "base", "bits", "_room", "_shapes", "_laid",
+                 "_packed", "_seen", "_by_node")
 
     def __init__(self, c: CartanData, base=None):
         self.c = c
@@ -245,6 +251,9 @@ class _Expander:
         self.bits = 16
         self._room = 0  # largest witness total the current run may reach
         self._shapes = {}  # (i, shape) -> (base, templates) of its first restriction
+        # (i, shape) -> (base, largest total, packed templates) of its first
+        # restriction in the current layout
+        self._laid = {}
         # per slot, packed restriction -> (largest total, packed templates)
         self._packed = [{} for _ in c.nodes]
         # per slot, node int -> (its key pairs, no negative exponent)
@@ -318,6 +327,11 @@ class _Expander:
         ri = self.c.r(i)
         base = ri * (restr[0][0][1] // ri) if restr else 0
         shape = (i, tuple((p - base, e) for (_, p), e in restr))
+        laid = self._laid.get(shape)
+        if laid is not None and base >= laid[0]:
+            shift = self.bits * (base - laid[0])
+            return laid[1], [(tuple(w << shift for w in d), t, total)
+                             for d, t, total in laid[2]]
         first = self._shapes.get(shape)
         if first is None:
             first = self._shapes[shape] = (
@@ -325,7 +339,10 @@ class _Expander:
         d = base - first[0]
         tpl = [(self._pack(delta.items(), d), t, total)
                for delta, t, total in first[1]]
-        return max((total for _, _, total in tpl), default=0), tpl
+        tmax = max((total for _, _, total in tpl), default=0)
+        if laid is None:
+            self._laid[shape] = (base, tmax, tpl)
+        return tmax, tpl
 
     def _pack(self, items, shift=0) -> tuple:
         """((node, power), exponent) pairs packed, each power raised by
@@ -353,6 +370,7 @@ class _Expander:
         return out
 
     def _new_layout(self):
+        self._laid.clear()
         for cache in self._packed + self._seen:
             cache.clear()
 

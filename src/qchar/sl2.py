@@ -100,8 +100,31 @@ def normal_writing(m: dict) -> tuple:
 def simple_qchar_sl2(m: dict) -> dict:
     """Character of the simple module with highest monomial m (m dominant):
     the product of string characters over a normal writing of m.
+
+    ``product`` of the ``kr_qchar_sl2`` factors, as a dict and in insertion
+    order, built without a dict copy or a sort per pair: while the tables
+    grow they are count tuples over the powers any factor can step, and
+    each partial table is extended by a string's prefix steps one power at
+    a time (a string's tables are its step prefixes, each of multiplicity
+    1).  Each distinct table becomes a (power, count) tuple once, at the end.
     """
-    return product(kr_qchar_sl2(k, c) for k, c in normal_writing(m))
+    strings = normal_writing(m)
+    powers = sorted({c + k - 2 * t for k, c in strings for t in range(k)})
+    where = {p: q for q, p in enumerate(powers)}
+    out = {(0,) * len(powers): 1}
+    for k, c in strings:
+        steps = [where[c + k - 2 * t] for t in range(k)]
+        nxt = {}
+        for table, t in out.items():
+            nxt[table] = nxt.get(table, 0) + t
+            counts = list(table)
+            for q in steps:
+                counts[q] += 1
+                grown = tuple(counts)
+                nxt[grown] = nxt.get(grown, 0) + t
+        out = nxt
+    return {tuple([(p, x) for p, x in zip(powers, table) if x]): t
+            for table, t in out.items()}
 
 
 def sl2_divide(target: dict, source: dict):

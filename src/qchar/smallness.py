@@ -139,9 +139,11 @@ def enumerate_dominant_below(c: CartanData, i, k: int, r: int,
     comparing every negative key with the keys raisable from idx on.  Each
     child is counted in ``visited`` and then tested before the search
     descends into it, so ``visited``, ``partial`` and the budget count
-    every node either test would reach.  At a leaf nothing is raisable, so
-    a live leaf is dominant.  Every emitted monomial is checked against its
-    witness applied to X.
+    every node either test would reach.  A dead child whose negative key
+    is one its own cell lowers has dead siblings at every larger count;
+    they are counted in one step, not built.  At a leaf nothing is
+    raisable, so a live leaf is dominant.  Every emitted monomial is
+    checked against its witness applied to X.
     """
     if not c.simply_laced:
         raise DiagramError("dominant-monomial enumeration is implemented for "
@@ -157,12 +159,14 @@ def enumerate_dominant_below(c: CartanData, i, k: int, r: int,
     keys = list(pos)
     u = dict(X.items())
     expo = [u.get(key, 0) for key in keys]
-    # check[idx]: keys that cell idx-1 touches and no cell from idx on raises
-    check = [()] * (n + 1)
+    # check[idx]: keys that cell idx-1 touches and no cell from idx on
+    # raises, as (keys that cell idx-1 lowers, the others)
+    check = [((), ())] * (n + 1)
     raised = set()
     for idx in range(n, 0, -1):
         st = steps[idx - 1]
-        check[idx] = tuple(q for q, _ in st if q not in raised)
+        check[idx] = (tuple(q for q, x in st if q not in raised and x < 0),
+                      tuple(q for q, x in st if q not in raised and x > 0))
         raised.update(q for q, x in st if x > 0)
 
     counts = [0] * n
@@ -179,7 +183,7 @@ def enumerate_dominant_below(c: CartanData, i, k: int, r: int,
                 raise AssertionError("enumeration witness does not reach its monomial")
             out.append((m, wit))
             return
-        st, chk = steps[idx], check[idx + 1]
+        st, (lowered, others) = steps[idx], check[idx + 1]
         for v in range(k + 1):
             if v:
                 for q, x in st:
@@ -189,7 +193,20 @@ def enumerate_dominant_below(c: CartanData, i, k: int, r: int,
                 partial = True
                 break
             visited += 1
-            for q in chk:
+            dead = False
+            for q in lowered:
+                if expo[q] < 0:
+                    dead = True
+                    break
+            if dead:
+                # every larger count lowers that key further, so it is dead
+                # too: count it as the loop would, up to the budget
+                if visited + k - v > budget:
+                    visited, partial = budget, True
+                else:
+                    visited += k - v
+                break
+            for q in others:
                 if expo[q] < 0:
                     break
             else:

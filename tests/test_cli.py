@@ -381,6 +381,10 @@ def test_json_text_matches_json_dumps(capsys):
     ["enumerate", "--g", "D4", "--i", "2", "--k", "3"],
     ["sweep", "--g", "A1..A2", "--kmax", "2"],
     ["classify", "--g", "A3", "--i", "2", "--k", "3", "--empirical"],
+    # documents at the scale the one-buffer writer is built for: a 2,043
+    # term character (about 2 MB) and a large enumeration
+    ["qchar", "--g", "D4", "2_-2 2_0 2_2"],
+    ["enumerate", "--g", "E6", "--i", "3", "--k", "4"],
 ])
 def test_json_output_is_indent_2_dumps(capsys, argv):
     _, out, _ = run(capsys, *argv, "--format", "json")

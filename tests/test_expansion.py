@@ -810,6 +810,52 @@ def test_runs_start_over_on_wider_fields():
     assert rep.to_json() == fm_algorithm(A3, m).to_json()
 
 
+@pytest.mark.parametrize("series,rank", [("B", 3), ("C", 3), ("G", 2)])
+def test_shape_templates_shift_across_restrictions_and_layouts(
+        series, rank, monkeypatch):
+    # one engine meets a shape at node i (r_i > 1, two residue classes) at
+    # restrictions above and below its first one in a layout, then widens
+    # and meets it again: a restriction at or above the layout's first is
+    # shifted and packs nothing, one below it packs every template, and
+    # every template must be the packed product with its delta
+    c = build_diagram(series, rank)
+    i = max(c.nodes, key=c.r)
+    ri, s = c.r(i), c.nodes.index(i)
+    j = c.neighbors(i)[0]
+    calls = _count_shapes(monkeypatch)
+    packs = []
+    pack = _Expander._pack
+
+    def counted(self, items, shift=0):
+        packs.append(shift)
+        return pack(self, items, shift)
+
+    monkeypatch.setattr(_Expander, "_pack", counted)
+    ex = _Expander(c, base=-40)
+
+    def meet(offset):
+        """The packed root of the shape at ``offset``, and whether its
+        templates were packed (else shifted)."""
+        o = ri * offset
+        m = Monomial({(i, o): 1, (i, o + 1): 1, (i, o + 2 * ri): 2, (j, o + 1): -1})
+        x = ex.start(m)
+        del packs[:]
+        tpl = ex.templates(x, s, 0)
+        made = len(packs)
+        want = expand_Li_steps(c, m, i)[1:]
+        assert len(tpl) == len(want) > 2 and made in (0, len(tpl))
+        assert [(tuple(map(add, x, d)), t, total) for d, t, total in tpl] == \
+            [(ex._pack((m * delta).items()), t, total) for delta, t, total in want]
+        return x, made > 0
+
+    assert [meet(o)[1] for o in (0, 3, -2, 5)] == [True, False, True, False]
+    with pytest.raises(expansion._FieldsWidened):
+        ex.templates(meet(6)[0], s, ex._room)
+    assert ex.bits == 32
+    assert [meet(o)[1] for o in (4, 7, 1)] == [True, False, True]
+    assert len(calls) == 1  # one expansion served every restriction
+
+
 def test_empirical_cell_packs_each_template_once(monkeypatch):
     # the cell's engine takes the string's lowest power as its base, so
     # no closure or certifying process of the cell rebuilds a template

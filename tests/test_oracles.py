@@ -107,9 +107,10 @@ def test_standard_product_dominates_string_character():
 
 # (node, k) of every T-system identity checked by products, per diagram.
 # Left out for the size of the left-hand product, not of any closure: D4
-# node 2 at k = 3 (1,582,379 terms) and D5 node 2 at k = 2 (341,594), which
-# T_SYSTEM_EVALUATED checks by evaluation instead, E6 nodes 2 and 4 at
-# k = 1 (86,373 each) and E6 node 3 at k = 1 (3,790,864).
+# node 2 at k = 3 (1,582,379 terms), D5 node 2 at k = 2 (341,594) and E6
+# nodes 2 and 4 at k = 1 (86,373 each), which T_SYSTEM_EVALUATED checks by
+# evaluation instead, and E6 node 3 at k = 1 (3,790,864), whose W^{(3)}_2
+# closure alone has 1,530,916 terms.
 T_SYSTEM_CELLS = {
     "A2": [(i, k) for i in (1, 2) for k in (1, 2, 3)],
     "A3": [(i, k) for i in (1, 2, 3) for k in (1, 2, 3)],
@@ -191,8 +192,9 @@ def test_kr_characters_satisfy_the_t_system(name):
 
 
 # (diagram, node, k) of T-system identities checked at random points, whose
-# left-hand products are too large to build (see T_SYSTEM_CELLS)
-T_SYSTEM_EVALUATED = [("D4", 2, 3), ("D5", 2, 2)]
+# left-hand products are too large to build (see T_SYSTEM_CELLS); the E6
+# cells close W^{(2)}_2 and W^{(4)}_2, 35,644 terms each
+T_SYSTEM_EVALUATED = [("D4", 2, 3), ("D5", 2, 2), ("E6", 2, 1), ("E6", 4, 1)]
 PRIME = 2 ** 61 - 1
 
 

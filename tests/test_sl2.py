@@ -9,6 +9,7 @@ from qchar.sl2 import (
     in_special_position,
     kr_qchar_sl2,
     normal_writing,
+    product,
     simple_qchar_sl2,
     sl2_divide,
     standard_qchar_sl2,
@@ -173,6 +174,28 @@ def test_simple_qchar():
         _lift(Y((2, -1), (8, -1))): 1,
     }
     assert char[()] == 1
+
+
+def test_simple_qchar_is_the_product_of_its_strings():
+    # the tables are grown from count tuples, not multiplied pairwise: the
+    # result must be the product over the normal writing, as a dict and in
+    # insertion order, also when strings repeat or share powers
+    rng = random.Random("simple is product")
+    repeated = overlapping = 0
+    for _ in range(300):
+        e = {}
+        for _ in range(rng.randint(1, 4)):  # a sum of random strings
+            for r in _string(rng.randint(1, 4), rng.randint(-3, 3)):
+                e[r] = e.get(r, 0) + 1
+        strings = normal_writing(e)
+        want = product(kr_qchar_sl2(k, c) for k, c in strings)
+        got = simple_qchar_sl2(e)
+        assert got == want and list(got) == list(want), e
+        repeated += len(set(strings)) < len(strings)
+        powers = [r for k, c in strings for r in _string(k, c)]
+        overlapping += len(set(powers)) < len(powers)
+    assert repeated and overlapping
+    assert simple_qchar_sl2({}) == product([]) == {(): 1}
 
 
 def test_simple_qchar_highest_and_cone():
