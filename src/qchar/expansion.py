@@ -28,8 +28,10 @@ The closure and the generation process expand through one ``_Expander``
 per run (per cell in the empirical pipeline), which calls
 ``expand_Li_steps`` once per shape (a node restriction up to a shift by a
 multiple of r_i).  The engine alone decides whether a root is i-dominant,
-and hands out the step-table delta of each result but the root.  Chain
-replay shares none of it: each step is checked against ``expand_Li``.
+and hands out the packed delta of each result but the root, packed
+straight from its rank-1 step table.  Chain replay shares none of it: each
+step is checked against ``expand_Li``, which applies the same tables
+through ``AWitness.apply``.
 
 Inside a run, the closure and the process hold each monomial packed: a
 tuple with one int per node, in ``c.nodes`` order, where each power from a
@@ -44,20 +46,24 @@ the limit.  A result is the root plus a packed template delta, so equality
 and hashing are on ints.  A ``Monomial`` is built only for a new monomial,
 for its tie key and the output (``QCharacter``, chains and reports), from
 a key and a dominance read per node int from the engine, with no sort.
+Every result but the root has a larger witness total than its root, so
+both worklists are lists per total, each sorted once by its tie keys when
+the run reaches it, which pops in the same (total, tie key) order as a
+heap would.
 """
 
 from __future__ import annotations
 
-import heapq
+from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import add
 
 from . import sl2
 from .cartan import CartanData, DiagramError
 from .monomials import (
+    AWitness,
     Monomial,
     format_monomial,
-    monomial_from_json,
     plain_json,
 )
 
@@ -122,46 +128,30 @@ class QCharacter:
     def to_json(self) -> dict:
         return plain_json(self._doc())
 
-    @classmethod
-    def from_json(cls, data) -> "QCharacter":
-        terms = {}
-        for entry in data["terms"]:
-            m = monomial_from_json(entry["monomial"])
-            terms[m] = terms.get(m, 0) + int(entry["multiplicity"])
-        h = data.get("highest")
-        return cls(terms, highest=None if h is None else monomial_from_json(h))
-
-
-def qchar_is_thin(chi: QCharacter) -> bool:
-    """True iff every multiplicity equals 1."""
-    return all(t == 1 for t in chi.terms.values())
-
 
 def expand_Li_steps(c: CartanData, m: Monomial, i) -> list:
-    """Node-i expansion with bookkeeping: ``(delta, multiplicity, total)``
-    per result, root first, where the result is ``m * delta``, ``delta`` is
-    the product of the A_{i,q^p}^{-x} of its rank-1 step table and
-    ``total`` is the sum of the x.  Distinct tables give distinct deltas."""
+    """Node-i expansion as rank-1 step tables: ``(table, multiplicity,
+    total)`` per result, root first, where ``table`` holds (power, count)
+    pairs in ascending power, the result is m times the product of the
+    A_{i,q^power}^{-count}, and ``total`` is the sum of the counts.
+    Distinct tables give distinct results."""
     if not m.is_dominant([i]):
         raise ValueError(f"monomial {format_monomial(m)} is not {i}-dominant")
-    ri = c.r(i)
-    classes = {}
-    for s, e in m.node_powers(i).items():
-        classes.setdefault(s % ri, {})[s // ri] = e
-
-    chars = [{tuple((c0 + ri * p, x) for p, x in table): t
-              for table, t in sl2.simple_qchar_sl2(classes[c0]).items()}
-             for c0 in sorted(classes)]
-    row = c.a_row(i)
-    out = []
-    # one class (always when r_i = 1) is the whole character as it is
-    for table, t in (chars[0] if len(chars) == 1 else sl2.product(chars)).items():
-        delta = {}
-        for p, x in table:
-            for (j, d), ae in row:
-                delta[j, p + d] = delta.get((j, p + d), 0) - x * ae
-        out.append((Monomial(delta), t, sum(x for _, x in table)))
-    return out
+    ri, powers = c.r(i), m.node_powers(i)
+    if not powers:
+        return [((), 1, 0)]  # no node-i content: the root alone
+    if ri == 1:
+        # one class, whose rank-1 powers are the powers themselves
+        char = sl2.simple_qchar_sl2(powers)
+    else:
+        classes = {}
+        for s, e in powers.items():
+            classes.setdefault(s % ri, {})[s // ri] = e
+        chars = [{tuple((c0 + ri * p, x) for p, x in table): t
+                  for table, t in sl2.simple_qchar_sl2(classes[c0]).items()}
+                 for c0 in sorted(classes)]
+        char = chars[0] if len(chars) == 1 else sl2.product(chars)
+    return [(table, t, sum(x for _, x in table)) for table, t in char.items()]
 
 
 def expand_Li(c: CartanData, m: Monomial, i) -> QCharacter:
@@ -170,7 +160,8 @@ def expand_Li(c: CartanData, m: Monomial, i) -> QCharacter:
     The result is m times the mapped simple rank-1 character of the node-i
     restriction; its highest monomial is m with multiplicity 1.
     """
-    return QCharacter({m * delta: t for delta, t, _ in expand_Li_steps(c, m, i)},
+    return QCharacter({AWitness({(i, p): x for p, x in table}).apply(c, m): t
+                       for table, t, _ in expand_Li_steps(c, m, i)},
                       highest=m)
 
 
@@ -224,21 +215,24 @@ class _Expander:
     every delta by the same amount.  A restriction's shape is the
     restriction shifted down by ``r_i * (min power // r_i)``.  The first
     restriction of a shape is expanded once, as a bare node-i monomial, and
-    its non-root results are kept as ``(delta, multiplicity, total)``.  In
-    each layout, the first restriction of a shape packs each ``delta``
-    shifted to it, once; a restriction of that shape at offset d >= 0 above
-    it shifts every packed node int left by ``bits * d``, which is the same
-    packing, and one below it packs from the deltas again, so that a power
-    below the base still raises.  Each packed restriction keeps its
+    its non-root results are kept as ``(table, multiplicity, total)``, the
+    rank-1 step tables of ``expand_Li_steps``.  In each layout, the first
+    restriction of a shape packs each table shifted to it, once, as the
+    sum of count times the packed A_{i,q^p}^{-1} (``_pack_tables``); a
+    restriction of that shape at offset d >= 0 above it shifts every
+    packed node int left by ``bits * d``, which is the same packing, and
+    one below it packs from the tables again, so that a power below the
+    base still raises.  Each packed restriction keeps its
     templates ``(packed delta, multiplicity, total)``, so a result is
     ``tuple(map(add, root, packed delta))``.  A restriction with a negative
     exponent gets None.
 
     Keys.  Few distinct ints occur at a slot, so each int's key pairs and a
-    no-negative-exponent flag are cached per slot; ``read`` joins the pairs
-    in ascending node order (not ``c.nodes`` order), which is the canonical
-    key, and ANDs the flags.  The caches live as long as the engine, so the
-    closures and certifying processes of a cell share them.
+    no-negative-exponent flag are cached per slot, both read off in the one
+    pass that splits the int into its fields (``_node``); ``read`` joins
+    the pairs in ascending node order (not ``c.nodes`` order), which is the
+    canonical key, and ANDs the flags.  The caches live as long as the
+    engine, so the closures and certifying processes of a cell share them.
     """
 
     __slots__ = ("c", "_slot", "base", "bits", "_room", "_shapes", "_laid",
@@ -310,12 +304,24 @@ class _Expander:
     def _node(self, s, v):
         """The node int ``v`` at slot ``s`` as its ((node, power), exponent)
         pairs in ascending power, and whether none is negative; cached."""
-        seen = self._seen[s]
-        if v not in seen:
-            j = self.c.nodes[s]
-            pairs = tuple(((j, p), e) for p, e in self._powers(v).items())
-            seen[v] = (pairs, all(e > 0 for _, e in pairs))
-        return seen[v]
+        entry = self._seen[s].get(v)
+        if entry is None:
+            j, bits = self.c.nodes[s], self.bits
+            full = 1 << bits
+            mask, top = full - 1, full >> 1
+            pairs, dominant, p, w = [], True, self.base, v
+            while w:
+                e = w & mask
+                w >>= bits
+                if e >= top:  # a negative digit borrowed one from the next
+                    e -= full
+                    w += 1
+                    dominant = False
+                if e:
+                    pairs.append(((j, p), e))
+                p += 1
+            entry = self._seen[s][v] = (tuple(pairs), dominant)
+        return entry
 
     def _build(self, s, v):
         """(largest total, templates) of the packed restriction ``v`` at
@@ -336,38 +342,44 @@ class _Expander:
         if first is None:
             first = self._shapes[shape] = (
                 base, expand_Li_steps(self.c, Monomial._from_key(restr), i)[1:])
-        d = base - first[0]
-        tpl = [(self._pack(delta.items(), d), t, total)
-               for delta, t, total in first[1]]
+        tpl = self._pack_tables(i, first[1], base - first[0])
         tmax = max((total for _, _, total in tpl), default=0)
         if laid is None:
             self._laid[shape] = (base, tmax, tpl)
         return tmax, tpl
 
-    def _pack(self, items, shift=0) -> tuple:
-        """((node, power), exponent) pairs packed, each power raised by
-        ``shift``."""
-        x = [0] * len(self._slot)
-        off, bits, slot = shift - self.base, self.bits, self._slot
-        for (j, p), e in items:
-            x[slot[j]] += e << bits * (p + off)
-        return tuple(x)
-
-    def _powers(self, v) -> dict:
-        """power -> exponent of one packed node int, powers ascending."""
-        bits = self.bits
-        full = 1 << bits
-        out = {}
-        p = self.base
-        while v:
-            e = v & (full - 1)
-            if e >> (bits - 1):
-                e -= full
-            if e:
-                out[p] = e
-            v = (v - e) >> bits
-            p += 1
+    def _pack_tables(self, i, tables, shift):
+        """Templates ``(packed delta, multiplicity, total)`` of node-i step
+        tables, each power raised by ``shift``.  A delta is the sum of
+        count times the packed A_{i,q^p}^{-1} over its table, which per
+        slot is the packed row of A_{i,q^{r_i}}^{-1} (lowest power 0)
+        times sum(count << bits * (p + shift - r_i - base)).  That product of
+        signed-digit ints is exact, as the delta's digits fit their
+        fields, and a power below the base raises (a negative shift)."""
+        bits, ri = self.bits, self.c.r(i)
+        row = {}
+        for (j, d), ae in self.c.a_row(i):
+            s = self._slot[j]
+            row[s] = row.get(s, 0) - (ae << bits * (d + ri))
+        off = shift - ri - self.base
+        out = []
+        for table, t, total in tables:
+            steps = 0
+            for p, x in table:
+                steps += x << bits * (p + off)
+            d = [0] * len(self._slot)
+            for s, w in row.items():
+                d[s] = w * steps
+            out.append((tuple(d), t, total))
         return out
+
+    def _pack(self, items) -> tuple:
+        """((node, power), exponent) pairs packed."""
+        x = [0] * len(self._slot)
+        bits, base, slot = self.bits, self.base, self._slot
+        for (j, p), e in items:
+            x[slot[j]] += e << bits * (p - base)
+        return tuple(x)
 
     def _new_layout(self):
         self._laid.clear()
@@ -474,12 +486,31 @@ def generate_process(c: CartanData, m: Monomial,
     blocked at i exactly when it is in ``covered[i]``.  Each chain step
     records that the check held when taken.  The run holds monomials in
     the packed layout of ``_Expander``; a ``Monomial`` is built once per
-    new one, for its tie key and its chain.  ``_expander`` lets
+    new one, for its tie key and its chain.  Since every push lands at a
+    larger total, the worklist is a list per total, sorted by tie key when
+    the run reaches it; the budget and ``stop_on_dominant`` stop it at the
+    same pop as a heap would.  ``_expander`` lets
     ``fm_algorithm`` hand over the expansions its closure already made.
     """
     _check_start(c, m, "generation")
     return _rerun_when_widened(_generate, c, m, budget, stop_on_dominant,
                                _expander or _Expander(c))
+
+
+def _in_level_order(levels):
+    """(total, entry) for the entries of ``levels``, a dict from witness
+    total to a list of (tie key, ...) entries, in ascending (total, tie
+    key) order, while the consumer adds entries at larger totals.  Each
+    level is sorted once, when it is reached; tie keys are unique, so no
+    comparison reaches past them."""
+    total = 0
+    while levels:
+        level = levels.pop(total, None)
+        if level:
+            level.sort()
+            for entry in level:
+                yield total, entry
+        total += 1
 
 
 def _generate(c, m, budget, stop_on_dominant, ex):
@@ -490,12 +521,12 @@ def _generate(c, m, budget, stop_on_dominant, ex):
     generated = {x0}
     canonical = {x0: x0}  # one tuple per monomial, shared by generated and covered
     covered = [set() for _ in c.nodes]
-    heap = [(0, m.key, x0, m)]
+    levels = defaultdict(list)
+    levels[0].append((m.key, x0, m))
     steps = 0
     partial = False
     stop = False
-    while heap and not stop:
-        total, _, x, mu = heapq.heappop(heap)
+    for total, (_, x, mu) in _in_level_order(levels):
         for s, i in enumerate(c.nodes):
             tpl = ex.templates(x, s, total)
             if tpl is None:
@@ -521,11 +552,13 @@ def _generate(c, m, budget, stop_on_dominant, ex):
                 key, dominant = ex.read(nu)
                 nu_m = Monomial._from_key(key)
                 chains[nu_m] = chain + (TraceStep(i, mu, nu_m),)
-                heapq.heappush(heap, (total + n, key, nu, nu_m))
+                levels[total + n].append((key, nu, nu_m))
                 if stop_on_dominant and dominant:
                     stop = True
             if stop:
                 break
+        if stop:
+            break
     return GenerationTrace(start=m, chains=chains, partial=partial, steps=steps)
 
 
@@ -571,9 +604,12 @@ def fm_algorithm(c: CartanData, m: Monomial,
     The worklist is ordered by ascending witness total against m, ties by
     canonical encoding (``order_within_level`` lets tests permute the tie
     order with any injective key to exercise the order-independence
-    contract).  ``colored[i]`` holds, for each monomial not yet settled,
-    the part of its multiplicity that node-i expansions explain; its
-    multiplicity is the maximum of those parts over the nodes.  When mu
+    contract); since every result lands at a larger total than its root,
+    the worklist is a list per total, sorted once by tie key when the
+    closure reaches it.  Each monomial not yet settled has one state row:
+    its multiplicity, then, per node i, the part of it that node-i
+    expansions explain; the multiplicity is the maximum of those parts
+    over the nodes, and a result is new exactly when it has no row.  When mu
     settles, its multiplicity less its node-i part is the coefficient of
     mu's own node-i expansion, which must then be i-dominant; the expansion
     adds that coefficient times each result's multiplicity to the result's
@@ -613,30 +649,31 @@ def _fm_closure(c, m, budget, order_within_level, ex):
     """The closure of ``fm_algorithm``: its consistent report, or the
     (forced dominant or None, steps, diagnostic) of an inconclusive exit.
     It runs on the packed layout of ``ex`` and raises ``_FieldsWidened``
-    when ``ex`` widened its fields mid-run.  A monomial leaves ``mult``
-    when it settles: its multiplicity is final then, as every root above
-    it has settled, and it is no later result, as results lie strictly
-    below their roots."""
+    when ``ex`` widened its fields mid-run.  A monomial's row leaves
+    ``state`` when it settles: its multiplicity is final then, as every
+    root above it has settled, and it is no later result, as results lie
+    strictly below their roots."""
     _check_start(c, m, "the closure")
     x0 = ex.start(m)
-    mult = {x0: 1}  # unsettled monomials
-    colored = [{} for _ in c.nodes]  # node share of unsettled multiplicities
+    width = len(c.nodes) + 1
+    # unsettled monomial -> [multiplicity, its share at each node's slot]
+    state = {x0: [1] + [0] * (width - 1)}
     terms = {}
     steps = 0
 
     def tie_key(nu):
         return order_within_level(nu) if order_within_level else nu.key
 
-    heap = [(0, tie_key(m), x0, m)]
-    while heap:
-        total, _, x, mu = heapq.heappop(heap)
+    levels = defaultdict(list)
+    levels[0].append((tie_key(m), x0, m))
+    for total, (_, x, mu) in _in_level_order(levels):
         if steps >= budget:
             return None, steps, "step budget exhausted"
         steps += 1
-        t_mu = terms[mu] = mult.pop(x)
+        row = state.pop(x)
+        t_mu = terms[mu] = row[0]
         for s, i in enumerate(c.nodes):
-            share = colored[s]
-            coeff = t_mu - share.pop(x, 0)
+            coeff = t_mu - row[s + 1]
             if not coeff:
                 continue
             tpl = ex.templates(x, s, total)
@@ -646,16 +683,19 @@ def _fm_closure(c, m, budget, order_within_level, ex):
             forced = None  # the least new dominant result, by canonical key
             for d, t, n in tpl:
                 nu = tuple(map(add, x, d))
-                f = share[nu] = share.get(nu, 0) + coeff * t
-                old = mult.get(nu, 0)
-                if f > old:
-                    mult[nu] = f
-                if not old:
+                r = state.get(nu)
+                if r is None:
+                    r = state[nu] = [0] * width
+                    r[0] = r[s + 1] = coeff * t
                     key, dominant = ex.read(nu)
                     nu_m = Monomial._from_key(key)
-                    heapq.heappush(heap, (total + n, tie_key(nu_m), nu, nu_m))
+                    levels[total + n].append((tie_key(nu_m), nu, nu_m))
                     if dominant and (forced is None or key < forced.key):
                         forced = nu_m
+                    continue
+                f = r[s + 1] = r[s + 1] + coeff * t
+                if f > r[0]:
+                    r[0] = f
             if forced is not None:
                 return forced, steps, (
                     "closure forces dominant monomial "

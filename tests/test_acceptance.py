@@ -9,6 +9,7 @@ comparisons are exact integer equalities.
 import itertools
 import time
 
+from _characters import qchar_is_thin
 from _enum_oracle import box_cells, box_dominants
 from _fuzz import (
     run_partial_order_axioms,
@@ -24,7 +25,6 @@ from qchar.expansion import (
     GenerationTrace,
     fm_algorithm,
     generate_process,
-    qchar_is_thin,
 )
 from qchar.monomials import (
     Monomial,

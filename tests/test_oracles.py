@@ -4,7 +4,9 @@ Type-A string modules restrict to irreducible rectangular-shape modules of
 the underlying special linear algebra, so the closure's total multiplicity
 must equal the count of semistandard tableaux of that rectangle; the
 first-node fundamentals have a closed ladder formula; minuscule and vector
-fundamentals elsewhere have textbook dimensions and are thin.  On types A,
+fundamentals elsewhere have textbook dimensions and are thin; every
+fundamental character of B3, C3, G2, F4, D4 and E6 lies above the lowest
+monomial that Frenkel-Mukhin give (arXiv:math/9911112).  On types A,
 D and E the Kirillov-Reshetikhin characters satisfy the T-system
 (Nakajima, arXiv:math/0204185), which checks actual monomials and
 multiplicities where no tableau count exists: by multiplying characters,
@@ -16,14 +18,14 @@ import math
 import random
 
 import pytest
+from _characters import qchar_is_thin
 
 from qchar.cartan import build_diagram, parse_diagram
 from qchar.expansion import (
     SPECIAL_FM_CONSISTENT,
     fm_algorithm,
-    qchar_is_thin,
 )
-from qchar.monomials import Monomial, a_monomial, kr_highest
+from qchar.monomials import Monomial, a_monomial, divide_as_a_product, kr_highest
 
 
 def ssyt_rectangles(letters, rows, cols):
@@ -83,6 +85,36 @@ def test_minuscule_and_vector_fundamentals():
     rep = fm_algorithm(d5, Monomial.y(5, 0))
     assert rep.verdict == SPECIAL_FM_CONSISTENT
     assert len(rep.qchar) == 16 and qchar_is_thin(rep.qchar)
+
+
+# (h^vee, the dual node of each node) per diagram: h^vee is the dual
+# Coxeter number; the dual node is given by -w_0, the identity on B3, C3,
+# G2, F4 and D4 and the flip of the E6 diagram (nodes 1-2-3-4-5 in a
+# chain, 6 on node 3)
+FUNDAMENTAL_LOWEST = {
+    ("B", 3): (5, {}), ("C", 3): (4, {}), ("G", 2): (4, {}), ("F", 4): (9, {}),
+    ("D", 4): (6, {}), ("E", 6): (12, {1: 5, 2: 4, 4: 2, 5: 1}),
+}
+
+
+@pytest.mark.parametrize("series,rank", sorted(FUNDAMENTAL_LOWEST))
+def test_fundamental_lowest_monomial(series, rank):
+    # Frenkel-Mukhin (arXiv:math/9911112, Corollary 6.9): the lowest
+    # monomial of chi_q(L(Y_{i,q^p})) is Y_{ibar, q^{p + r^vee h^vee}}^{-1},
+    # ibar the dual node and r^vee the largest symmetrizer.  Every term
+    # must lie above it, and it must occur once.  The nodes with r_i > 1
+    # take the multi-class rank-1 path.
+    c = build_diagram(series, rank)
+    h_dual, dual = FUNDAMENTAL_LOWEST[series, rank]
+    shift = max(c.r(i) for i in c.nodes) * h_dual
+    for i in c.nodes:
+        p = 2 * i - 3
+        rep = fm_algorithm(c, Monomial.y(i, p))
+        assert rep.verdict == SPECIAL_FM_CONSISTENT
+        lowest = Monomial.y(dual.get(i, i), p + shift, -1)
+        assert rep.qchar.multiplicity(lowest) == 1, (c.name, i)
+        for m in rep.qchar.terms:
+            assert divide_as_a_product(c, lowest, m) is not None, (c.name, i, str(m))
 
 
 def test_standard_product_dominates_string_character():

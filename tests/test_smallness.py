@@ -1,6 +1,7 @@
 import functools
 
 import pytest
+from _characters import qchar_is_thin
 from _enum_oracle import box_dominants
 
 from qchar.cartan import DiagramError, build_diagram, parse_diagram
@@ -236,7 +237,6 @@ def test_enumerate_cap_is_not_binding():
 def test_gap_form_monomials_are_special_and_thin():
     # every dominant monomial below a first-node string satisfies the gap
     # condition, and its simple module comes out consistent and thin
-    from qchar.expansion import fm_algorithm, qchar_is_thin
     for n in (2, 3):
         c = build_diagram("A", n)
         for k in (2, 3, 4):
