@@ -137,20 +137,15 @@ def expand_Li_steps(c: CartanData, m: Monomial, i) -> list:
     Distinct tables give distinct results."""
     if not m.is_dominant([i]):
         raise ValueError(f"monomial {format_monomial(m)} is not {i}-dominant")
-    ri, powers = c.r(i), m.node_powers(i)
-    if not powers:
-        return [((), 1, 0)]  # no node-i content: the root alone
-    if ri == 1:
-        # one class, whose rank-1 powers are the powers themselves
-        char = sl2.simple_qchar_sl2(powers)
-    else:
-        classes = {}
-        for s, e in powers.items():
-            classes.setdefault(s % ri, {})[s // ri] = e
-        chars = [{tuple((c0 + ri * p, x) for p, x in table): t
-                  for table, t in sl2.simple_qchar_sl2(classes[c0]).items()}
-                 for c0 in sorted(classes)]
-        char = chars[0] if len(chars) == 1 else sl2.product(chars)
+    ri = c.r(i)
+    classes = {}
+    for s, e in m.node_powers(i).items():
+        classes.setdefault(s % ri, {})[s // ri] = e
+    chars = [{tuple((c0 + ri * p, x) for p, x in table): t
+              for table, t in sl2.simple_qchar_sl2(classes[c0]).items()}
+             for c0 in sorted(classes)]
+    # one class (always when r_i = 1) is the whole character as it is
+    char = chars[0] if len(chars) == 1 else sl2.product(chars)
     return [(table, t, sum(x for _, x in table)) for table, t in char.items()]
 
 
@@ -353,9 +348,11 @@ class _Expander:
         tables, each power raised by ``shift``.  A delta is the sum of
         count times the packed A_{i,q^p}^{-1} over its table, which per
         slot is the packed row of A_{i,q^{r_i}}^{-1} (lowest power 0)
-        times sum(count << bits * (p + shift - r_i - base)).  That product of
-        signed-digit ints is exact, as the delta's digits fit their
-        fields, and a power below the base raises (a negative shift)."""
+        times sum(count << bits * (p + shift - r_i - base)).  That product is
+        ``_pack`` of the delta, as multiplication distributes over the
+        shifted terms; whether its digits fit their fields is the room
+        check's concern in ``templates``.  A power below the base raises
+        (a negative shift)."""
         bits, ri = self.bits, self.c.r(i)
         row = {}
         for (j, d), ae in self.c.a_row(i):

@@ -99,9 +99,10 @@ FUNDAMENTAL_LOWEST = {
 
 @pytest.mark.parametrize("series,rank", sorted(FUNDAMENTAL_LOWEST))
 def test_fundamental_lowest_monomial(series, rank):
-    # Frenkel-Mukhin (arXiv:math/9911112, Corollary 6.9): the lowest
-    # monomial of chi_q(L(Y_{i,q^p})) is Y_{ibar, q^{p + r^vee h^vee}}^{-1},
-    # ibar the dual node and r^vee the largest symmetrizer.  Every term
+    # Frenkel-Mukhin (arXiv:math/9911112; recalled as Corollary 6.9, the
+    # number not checked against the paper): the lowest monomial of
+    # chi_q(L(Y_{i,q^p})) is Y_{ibar, q^{p + r^vee h^vee}}^{-1}, ibar the
+    # dual node and r^vee the largest symmetrizer.  Every term
     # must lie above it, and it must occur once.  The nodes with r_i > 1
     # take the multi-class rank-1 path.
     c = build_diagram(series, rank)
