@@ -8,11 +8,16 @@ QCHAR_ENUM_NODES environment variable, then to the built-in default.
 
 Exit codes: 0 success/agreement, 2 parse or usage error, 3 replay or
 sweep mismatch, 4 budget-limited (partial) result.
+
+``main`` builds its parser on its first call in a process and reuses it on
+every later call; ``build_parser()`` returns a fresh one.  Nothing is built
+at import time.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -99,6 +104,7 @@ def _budgets(args) -> Budgets:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser on every call; ``main`` reuses one (``_parser``)."""
     parser = argparse.ArgumentParser(
         prog="qchar",
         description="Exact q-character computations and the smallness "
@@ -135,6 +141,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, required=True)
     _add_common(p, r=True)
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on the first call in a process.
+
+    Parsing leaves it unchanged: each call gets a new namespace, budget
+    defaults are read from the environment after parsing (``_budgets``), and
+    argparse reads the terminal width only when it formats usage or help.
+    """
+    return build_parser()
 
 
 def _parse_diagram_list(spec):
@@ -361,9 +378,13 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command and return its exit code.
+
+    The parser is built on the first call in a process and reused by every
+    later call, so a caller that runs many commands pays for it once.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else 0
     try:

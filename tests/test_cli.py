@@ -5,7 +5,7 @@ import sys
 import pytest
 from _characters import qchar_from_json
 
-from qchar import smallness
+from qchar import cli, smallness
 from qchar.cartan import build_diagram
 from qchar.cli import _budgets, _json_text, build_parser, main
 from qchar.expansion import QCharacter, SpecialnessReport, fm_algorithm
@@ -280,6 +280,47 @@ def test_reruns_byte_identical(capsys):
     second = run(capsys, "classify", "--g", "D4", "--i", "2", "--k", "3",
                  "--empirical", "--format", "json")
     assert first == second
+
+
+# usage errors, --help and every command in both formats, each repeated
+# after a different call, so state one parse left behind would show
+REUSED_PARSER_CALLS = [
+    ["classify", "--g", "A3"],  # missing flags
+    ["classify", "--g", "A2", "--i", "1", "--k", "2", "--fm-steps", "0"],
+    ["--help"],
+    *([*argv, "--format", fmt] for fmt in ("text", "json") for argv in (
+        ["classify", "--g", "A2", "--i", "1", "--k", "2", "--empirical"],
+        ["qchar", "--g", "A2", "1_0"],
+        ["enumerate", "--g", "A3", "--i", "2", "--k", "2"],
+        ["sweep", "--g", "A1..A2", "--kmax", "2"])),
+    ["classify", "--g", "A2", "--i", "1", "--k", "2", "--empirical"],
+    ["classify", "--g", "A3"],
+    ["sweep", "--help"],
+    ["qchar", "--g", "A2", "1_0", "--r", "3"],
+    ["qchar", "--g", "A2", "1_0"],
+    ["classify", "--g", "A2", "--i", "1", "--k", "2", "--fm-steps", "0"],
+    ["enumerate", "--g", "A3", "--i", "2", "--k", "2", "--r", "1"],
+]
+
+
+def test_reused_parser_keeps_no_state_between_calls(capsys, monkeypatch):
+    fresh = []
+    for argv in REUSED_PARSER_CALLS:
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    builds = []
+
+    def counted():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    reused = [run(capsys, *argv) for argv in REUSED_PARSER_CALLS]
+    assert len(builds) == 1
+    for argv, got, want in zip(REUSED_PARSER_CALLS, reused, fresh):
+        assert got == want, argv
+    assert [code for code, _, _ in fresh[:3]] == [2, 2, 0]
 
 
 def test_verify_remarks_command(capsys):
