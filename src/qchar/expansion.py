@@ -43,13 +43,17 @@ since one root step moves a field by at most 1, every exponent of a
 monomial T steps below the start m stays within max |e_m| + T, and the
 engine widens its fields and restarts the run before that bound reaches
 the limit.  A result is the root plus a packed template delta, so equality
-and hashing are on ints.  A ``Monomial`` is built only for a new monomial,
-for its tie key and the output (``QCharacter``, chains and reports), from
-a key and a dominance read per node int from the engine, with no sort.
-Every result but the root has a larger witness total than its root, so
-both worklists are lists per total, each sorted once by its tie keys when
-the run reaches it, which pops in the same (total, tie key) order as a
-heap would.
+and hashing are on ints.  Every result but the root has a larger witness
+total than its root, so both worklists are lists per total of packed
+monomials, each sorted once by its tie keys when the run reaches it, which
+pops in the same (total, tie key) order as a heap would.  A key is read
+from the engine, joined from cached per-node pairs with no sort, only when
+a level is reached or the output needs it, and a ``Monomial`` is built
+only from such a key: the closure builds one per settled monomial, for
+its tie key and the ``QCharacter``, and the process one per monomial with
+a chain.  So a budget-capped run pays little for the results at levels
+it never reaches.  Whether a new result is dominant, which both runs ask
+at once, is read only for results with no negative node int.
 """
 
 from __future__ import annotations
@@ -228,6 +232,11 @@ class _Expander:
     the pairs in ascending node order (not ``c.nodes`` order), which is the
     canonical key, and ANDs the flags.  The caches live as long as the
     engine, so the closures and certifying processes of a cell share them.
+    A node int has the sign of its exponent at its highest power: the lower
+    fields add up to less than one unit of the top field in size, as each
+    |e| < 2 ** (bits - 1).  So a negative node int proves a negative
+    exponent, and a run reads a new result's dominance only when
+    ``min(x) >= 0``.
     """
 
     __slots__ = ("c", "_slot", "base", "bits", "_room", "_shapes", "_laid",
@@ -465,7 +474,8 @@ def _check_start(c: CartanData, m: Monomial, what: str):
 def generate_process(c: CartanData, m: Monomial,
                      budget: int = DEFAULT_PROCESS_STEPS,
                      stop_on_dominant: bool = False,
-                     *, _expander: _Expander | None = None) -> GenerationTrace:
+                     *, _expander: _Expander | None = None,
+                     _dominant_only: bool = False) -> GenerationTrace:
     """Closure of {m} under admissible single-node expansions.
 
     A generated monomial mu may be expanded at node i when it is i-dominant
@@ -482,48 +492,62 @@ def generate_process(c: CartanData, m: Monomial,
     every i-dominant monomial popped so far, blocked or not, and mu is
     blocked at i exactly when it is in ``covered[i]``.  Each chain step
     records that the check held when taken.  The run holds monomials in
-    the packed layout of ``_Expander``; a ``Monomial`` is built once per
-    new one, for its tie key and its chain.  Since every push lands at a
-    larger total, the worklist is a list per total, sorted by tie key when
-    the run reaches it; the budget and ``stop_on_dominant`` stop it at the
-    same pop as a heap would.  ``_expander`` lets
-    ``fm_algorithm`` hand over the expansions its closure already made.
+    the packed layout of ``_Expander``, each with a link to the (root,
+    node) of the step that generated it.  Since every push lands at a
+    larger total, the worklist is a list per total; a level's keys are
+    read, and the level sorted by them, when the run reaches it, so the
+    budget and ``stop_on_dominant`` stop the run at the same pop as a heap
+    would.  The chains are built at the end, from the links, with one
+    ``Monomial`` per generated monomial.  ``_expander`` lets
+    ``fm_algorithm`` hand over the expansions its closure already made,
+    and ``_dominant_only`` keeps only the chains it reads: those of the
+    start, of every generated dominant monomial and of their ancestors.
     """
     _check_start(c, m, "generation")
     return _rerun_when_widened(_generate, c, m, budget, stop_on_dominant,
-                               _expander or _Expander(c))
+                               _dominant_only, _expander or _Expander(c))
 
 
-def _in_level_order(levels):
-    """(total, entry) for the entries of ``levels``, a dict from witness
-    total to a list of (tie key, ...) entries, in ascending (total, tie
-    key) order, while the consumer adds entries at larger totals.  Each
-    level is sorted once, when it is reached; tie keys are unique, so no
-    comparison reaches past them."""
+def _in_level_order(levels, entry):
+    """(total, entry(item)) for the items of ``levels``, a dict from
+    witness total to a list of pushed items, in ascending (total, tie key)
+    order, while the consumer adds items at larger totals.  ``entry``
+    makes an item's sort entry, led by its tie key, when its level is
+    reached, and each level is sorted once then; tie keys are unique, so
+    no comparison reaches past them."""
     total = 0
     while levels:
         level = levels.pop(total, None)
         if level:
-            level.sort()
-            for entry in level:
-                yield total, entry
+            for e in sorted(map(entry, level)):
+                yield total, e
         total += 1
 
 
-def _generate(c, m, budget, stop_on_dominant, ex):
+def _generate(c, m, budget, stop_on_dominant, dominant_only, ex):
     """The run of ``generate_process`` on the packed layout of ``ex``; it
     raises ``_FieldsWidened`` when ``ex`` widened its fields mid-run."""
     x0 = ex.start(m)
-    chains = {m: ()}
-    generated = {x0}
-    canonical = {x0: x0}  # one tuple per monomial, shared by generated and covered
+    links = {x0: None}  # generated monomial -> (packed root, node) of its step
+    canonical = {x0: x0}  # one tuple per monomial, shared by links and covered
     covered = [set() for _ in c.nodes]
+    keys = {}  # popped monomial -> its key, for the chains at the end
+    dominant = {}  # generated dominant monomial but the start -> its key
+    check = stop_on_dominant or dominant_only
+    read = ex.read
+
+    def popping(x):
+        key = read(x)[0]
+        if not dominant_only:
+            keys[x] = key
+        return key, x
+
     levels = defaultdict(list)
-    levels[0].append((m.key, x0, m))
+    levels[0].append(x0)
     steps = 0
     partial = False
     stop = False
-    for total, (_, x, mu) in _in_level_order(levels):
+    for total, (_, x) in _in_level_order(levels, popping):
         for s, i in enumerate(c.nodes):
             tpl = ex.templates(x, s, total)
             if tpl is None:
@@ -541,21 +565,38 @@ def _generate(c, m, budget, stop_on_dominant, ex):
             steps += 1
             # every monomial is pushed once, under its own key, so the
             # order of the pushes never changes a pop
-            chain = chains[mu]
+            link = (x, i)
             for nu, (_, _, n) in zip(results, tpl):
-                if nu in generated:
+                if nu in links:
                     continue
-                generated.add(nu)
-                key, dominant = ex.read(nu)
-                nu_m = Monomial._from_key(key)
-                chains[nu_m] = chain + (TraceStep(i, mu, nu_m),)
-                levels[total + n].append((key, nu, nu_m))
-                if stop_on_dominant and dominant:
-                    stop = True
+                links[nu] = link
+                levels[total + n].append(nu)
+                # a negative node int has a negative top exponent
+                if check and min(nu) >= 0:
+                    key, is_dominant = read(nu)
+                    if is_dominant:
+                        dominant[nu] = key
+                        stop = stop or stop_on_dominant
             if stop:
                 break
         if stop:
             break
+    keys.update(dominant)
+    found = {x0: m}  # packed -> Monomial, for every monomial with a chain
+    chains = {m: ()}
+    for last in dominant if dominant_only else links:
+        # links run in generation order, so a root is found before its results
+        path = []
+        while last not in found:
+            path.append(last)
+            last = links[last][0]
+        for nu in reversed(path):
+            root, i = links[nu]
+            key = keys.get(nu)
+            if key is None:
+                key = read(nu)[0]
+            nu_m = found[nu] = Monomial._from_key(key)
+            chains[nu_m] = chains[found[root]] + (TraceStep(i, found[root], nu_m),)
     return GenerationTrace(start=m, chains=chains, partial=partial, steps=steps)
 
 
@@ -617,12 +658,16 @@ def fm_algorithm(c: CartanData, m: Monomial,
     its root, so it settles after every root above it has added its part.
     A forced dominant monomial other than m refutes the single-dominant
     hypothesis and is certified via the generation process, witnessed by
-    that monomial if the process reaches it, else by the first dominant
+    that monomial if the process reaches it, else by the least dominant
     one it generates.  Every other inconclusive exit (a spent budget or a
     non-i-dominant monomial left with a positive coefficient) asks the
     generation process for a second dominant monomial too, and reports
-    Inconclusive only if there is none.  ``_expander`` lets
-    ``check_small_empirical`` share one engine across a cell's closures.
+    Inconclusive only if there is none.  The certifying process runs
+    through ``generate_process`` with ``_dominant_only``, so it builds
+    ``Monomial``s and chains only for its dominant monomials and their
+    ancestors; the witness's chain is the one the full process would give.
+    ``_expander`` lets ``check_small_empirical`` share one engine across a
+    cell's closures.
     """
     ex = _expander or _Expander(c)
     out = _rerun_when_widened(_fm_closure, c, m, budget,
@@ -632,7 +677,7 @@ def fm_algorithm(c: CartanData, m: Monomial,
     # the closure's state is released before the process runs
     forced, steps, diagnostic = out
     trace = generate_process(c, m, budget=process_budget, stop_on_dominant=True,
-                             _expander=ex)
+                             _expander=ex, _dominant_only=True)
     doms = trace.dominant_monomials()
     if not doms:
         return SpecialnessReport(INCONCLUSIVE, m, steps=steps,
@@ -646,10 +691,14 @@ def _fm_closure(c, m, budget, order_within_level, ex):
     """The closure of ``fm_algorithm``: its consistent report, or the
     (forced dominant or None, steps, diagnostic) of an inconclusive exit.
     It runs on the packed layout of ``ex`` and raises ``_FieldsWidened``
-    when ``ex`` widened its fields mid-run.  A monomial's row leaves
-    ``state`` when it settles: its multiplicity is final then, as every
-    root above it has settled, and it is no later result, as results lie
-    strictly below their roots."""
+    when ``ex`` widened its fields mid-run.  A new result is pushed packed,
+    with its state row; its key is read and its ``Monomial`` built when
+    its level is reached, so a result below the last level the budget
+    reaches is never read, unless it may be a forced dominant monomial: a
+    new result is read at once only when no node int is negative.  A
+    monomial's row leaves ``state`` when it settles: its multiplicity is
+    final then, as every root above it has settled, and it is no later
+    result, as results lie strictly below their roots."""
     _check_start(c, m, "the closure")
     x0 = ex.start(m)
     width = len(c.nodes) + 1
@@ -657,17 +706,21 @@ def _fm_closure(c, m, budget, order_within_level, ex):
     state = {x0: [1] + [0] * (width - 1)}
     terms = {}
     steps = 0
+    read = ex.read
 
-    def tie_key(nu):
-        return order_within_level(nu) if order_within_level else nu.key
+    def settling(pushed):
+        x, row = pushed
+        mu = Monomial._from_key(read(x)[0])
+        tie = order_within_level(mu) if order_within_level else mu.key
+        return tie, x, row, mu
 
     levels = defaultdict(list)
-    levels[0].append((tie_key(m), x0, m))
-    for total, (_, x, mu) in _in_level_order(levels):
+    levels[0].append((x0, state[x0]))
+    for total, (_, x, row, mu) in _in_level_order(levels, settling):
         if steps >= budget:
             return None, steps, "step budget exhausted"
         steps += 1
-        row = state.pop(x)
+        del state[x]
         t_mu = terms[mu] = row[0]
         for s, i in enumerate(c.nodes):
             coeff = t_mu - row[s + 1]
@@ -677,23 +730,25 @@ def _fm_closure(c, m, budget, order_within_level, ex):
             if tpl is None:
                 return None, steps, (f"node-{i} class leaves non-dominant "
                                      f"{format_monomial(mu)} unexplained")
-            forced = None  # the least new dominant result, by canonical key
+            forced = None  # key of the least new dominant result
             for d, t, n in tpl:
                 nu = tuple(map(add, x, d))
                 r = state.get(nu)
                 if r is None:
                     r = state[nu] = [0] * width
                     r[0] = r[s + 1] = coeff * t
-                    key, dominant = ex.read(nu)
-                    nu_m = Monomial._from_key(key)
-                    levels[total + n].append((tie_key(nu_m), nu, nu_m))
-                    if dominant and (forced is None or key < forced.key):
-                        forced = nu_m
+                    levels[total + n].append((nu, r))
+                    # a negative node int has a negative top exponent
+                    if min(nu) >= 0:
+                        key, dominant = read(nu)
+                        if dominant and (forced is None or key < forced):
+                            forced = key
                     continue
                 f = r[s + 1] = r[s + 1] + coeff * t
                 if f > r[0]:
                     r[0] = f
             if forced is not None:
+                forced = Monomial._from_key(forced)
                 return forced, steps, (
                     "closure forces dominant monomial "
                     f"{format_monomial(forced)} but the generation process "

@@ -290,6 +290,72 @@ def test_process_blocked_monomial_still_blocks():
                    for chain in chains.values() for step in chain)
 
 
+def test_certifying_run_matches_the_full_process():
+    # fm_algorithm's certifying process builds chains only for the start,
+    # the dominant results and their ancestors.  Its trace must be the full
+    # process's trace cut to those monomials, and fm_algorithm's verdict,
+    # witness and chain must follow from the full trace: the forced
+    # monomial if the process generates it, else the least dominant one,
+    # and Inconclusive exactly when the trace has no dominant monomial.
+    # Closure budgets run from 1 to 30.  The first budget at which each
+    # closure outcome shows runs every process budget up to 30 and 400, so
+    # that the process stops before, at and after its first dominant
+    # monomial; a later budget with that outcome runs at its own value.
+    starts = [(A3, parse_monomial("1_1 3_1 2_4")),
+              (D4, parse_monomial("1_3 1_5 2_0"))]
+    for c in (A3, build_diagram("B", 3), build_diagram("G", 2), D4, A2_AFFINE):
+        rng = random.Random(f"certify {c.name}")
+        for n in range(4):
+            # a string of length 2 makes a second dominant monomial likely
+            j, p = rng.choice(c.nodes), rng.randint(-3, 3)
+            e = {(j, p): 1, (j, p + 2 * c.r(j)): 1} if n % 2 else {}
+            for _ in range(rng.randint(1, 2)):
+                key = (rng.choice(c.nodes), rng.randint(-3, 3))
+                e[key] = e.get(key, 0) + rng.randint(1, 2)
+            starts.append((c, Monomial(e)))
+    seen = set()
+    for c, m in starts:
+        ex, ref = _Expander(c), _Expander(c)  # the runs under test, the reference
+        full = {}
+        for process_budget in [*range(1, 31), 400]:
+            trace = full[process_budget] = generate_process(
+                c, m, process_budget, stop_on_dominant=True, _expander=ref)
+            kept = generate_process(c, m, process_budget, stop_on_dominant=True,
+                                    _expander=ex, _dominant_only=True)
+            doms = trace.dominant_monomials()
+            wanted = {m, *doms, *(step.root for mu in doms
+                                  for step in trace.chains[mu])}
+            assert kept.chains == {mu: trace.chains[mu] for mu in wanted}
+            assert (kept.steps, kept.partial) == (trace.steps, trace.partial)
+        outcomes = set()
+        for budget in range(1, 31):
+            out = expansion._rerun_when_widened(
+                expansion._fm_closure, c, m, budget, None, ref)
+            if isinstance(out, expansion.SpecialnessReport):
+                rep = fm_algorithm(c, m, budget, 400, _expander=ex)
+                assert rep.to_json() == out.to_json()
+                seen.add((rep.verdict, None))
+                continue
+            forced = out[0]
+            process_budgets = full if forced not in outcomes else (budget,)
+            outcomes.add(forced)
+            for process_budget in process_budgets:
+                rep = fm_algorithm(c, m, budget, process_budget, _expander=ex)
+                trace = full[process_budget]
+                doms = trace.dominant_monomials()
+                if not doms:
+                    assert (rep.verdict, rep.witness, rep.chain) == (
+                        INCONCLUSIVE, None, ())
+                    seen.add((INCONCLUSIVE, None))
+                    continue
+                witness = forced if forced in trace.chains else doms[0]
+                assert (rep.verdict, rep.witness, rep.chain) == (
+                    NOT_SPECIAL, witness, trace.chains[witness])
+                seen.add((NOT_SPECIAL, witness == forced))
+    assert seen == {(SPECIAL_FM_CONSISTENT, None), (INCONCLUSIVE, None),
+                    (NOT_SPECIAL, True), (NOT_SPECIAL, False)}
+
+
 def test_fm_rank1_closed_forms():
     for k in range(1, 8):
         X = kr_highest(A1, 1, k, 0)
@@ -722,6 +788,41 @@ def test_engine_reads_each_result_key_as_the_product(c):
                 got = ex.read(tuple(map(add, x, d)))
                 assert got == (mu.key, mu.is_dominant()), (format_monomial(m), i)
                 seen[got[1]] += 1
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("c", [build_diagram(*d) for d in LAYOUT_DIAGRAMS],
+                         ids=lambda c: c.name)
+def test_a_packed_node_int_has_the_sign_of_its_top_exponent(c):
+    # the closure and the process read a new result's dominance only when
+    # no node int is negative.  Negative exponents below positive ones make
+    # fields borrow, and the int must still take the sign of its exponent
+    # at the highest power, so a dominant monomial has no negative int
+    rng = random.Random(f"sign {c.name}")
+    ex = _Expander(c)
+    seen = {"borrow": 0, "negative": 0, "dominant": 0}
+    for _ in range(300):
+        e = {}
+        for j in c.nodes:
+            powers = sorted(rng.sample(range(-6, 7), rng.randint(0, 3)))
+            for n, p in enumerate(powers):
+                # below the top power, a negative exponent three times in four
+                at_top = n == len(powers) - 1
+                e[j, p] = rng.choice((-2, -1, 1, 2) if at_top or rng.random() < 0.5
+                                     else (-2, -1))
+        m = Monomial(e)
+        x = ex.start(m)
+        assert ex.read(x) == (m.key, m.is_dominant())
+        if m.is_dominant():
+            assert min(x) >= 0
+            seen["dominant"] += 1
+        for j, v in zip(c.nodes, x):
+            powers = m.node_powers(j)
+            top = powers[max(powers)] if powers else 0
+            sign = (v > 0) - (v < 0)
+            assert sign == (top > 0) - (top < 0), (format_monomial(m), j)
+            seen["negative"] += top < 0
+            seen["borrow"] += top > 0 and min(powers.values()) < 0
     assert all(seen.values()), seen
 
 
