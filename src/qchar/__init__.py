@@ -24,10 +24,7 @@ from .monomials import (
     Monomial,
     a_monomial,
     divide_as_a_product,
-    exponent_profile,
     format_monomial,
-    is_right_negative,
-    is_thin_monomial,
     kr_highest,
     monomial_from_json,
     monomial_to_json,
@@ -38,7 +35,6 @@ from .smallness import (
     Enumeration,
     SmallnessVerdict,
     check_small_empirical,
-    check_type_A_form,
     classify,
     enumerate_dominant_below,
     sweep,
@@ -63,19 +59,15 @@ __all__ = [
     "a_monomial",
     "build_diagram",
     "check_small_empirical",
-    "check_type_A_form",
     "classify",
     "classify_nodes",
     "divide_as_a_product",
     "enumerate_dominant_below",
     "expand_Li",
-    "exponent_profile",
     "fm_algorithm",
     "format_monomial",
     "generate_process",
     "graph_distance",
-    "is_right_negative",
-    "is_thin_monomial",
     "kr_highest",
     "monomial_from_json",
     "monomial_to_json",

@@ -6,8 +6,9 @@ A command takes only the budget flags it reads.  Each budget comes from its
 flag, falling back to the QCHAR_FM_STEPS, QCHAR_PROCESS_STEPS or
 QCHAR_ENUM_NODES environment variable, then to the built-in default.
 
-Exit codes: 0 success/agreement, 2 parse or usage error, 3 replay or
-sweep mismatch, 4 budget-limited (partial) result.
+Exit codes: 0 success/agreement, 1 stdout closed before the output was
+written (as by ``| head``), 2 parse or usage error, 3 replay or sweep
+mismatch, 4 budget-limited (partial) result.
 
 ``main`` builds its parser on its first call in a process and reuses it on
 every later call; ``build_parser()`` returns a fresh one.  Nothing is built
@@ -45,6 +46,7 @@ from .smallness import (
 SCHEMA = "qchar/1"
 
 EXIT_OK = 0
+EXIT_CLOSED = 1
 EXIT_PARSE = 2
 EXIT_MISMATCH = 3
 EXIT_PARTIAL = 4
@@ -388,10 +390,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else 0
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
     except (DiagramError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except BrokenPipeError:
+        # the recipe in the Python docs: stdout points at devnull, so the
+        # flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED
 
 
 if __name__ == "__main__":

@@ -28,10 +28,10 @@ The closure and the generation process expand through one ``_Expander``
 per run (per cell in the empirical pipeline), which calls
 ``expand_Li_steps`` once per shape (a node restriction up to a shift by a
 multiple of r_i).  The engine alone decides whether a root is i-dominant,
-and hands out the packed delta of each result but the root, packed
-straight from its rank-1 step table.  Chain replay shares none of it: each
-step is checked against ``expand_Li``, which applies the same tables
-through ``AWitness.apply``.
+and hands out the packed delta of each result but the root: each packed
+restriction packs its shape's rank-1 step tables once, shifted to it.
+Chain replay shares none of it: each step is checked against
+``expand_Li``, which applies the same tables through ``AWitness.apply``.
 
 Inside a run, the closure and the process hold each monomial packed: a
 tuple with one int per node, in ``c.nodes`` order, where each power from a
@@ -206,8 +206,7 @@ class _Expander:
     pass the field limit, doubles ``bits`` and raises ``_FieldsWidened``,
     and the run starts over.  So a field never wraps, and a template power
     below the base raises (a negative shift).  A new layout drops the
-    packed caches, the packed shapes and the key pairs: its node ints mean
-    other exponents.
+    packed caches and the key pairs: its node ints mean other exponents.
 
     Templates.  ``expand_Li_steps`` reads a root only through its node-i
     restriction, and shifting that restriction by a multiple of r_i shifts
@@ -215,16 +214,13 @@ class _Expander:
     restriction shifted down by ``r_i * (min power // r_i)``.  The first
     restriction of a shape is expanded once, as a bare node-i monomial, and
     its non-root results are kept as ``(table, multiplicity, total)``, the
-    rank-1 step tables of ``expand_Li_steps``.  In each layout, the first
-    restriction of a shape packs each table shifted to it, once, as the
-    sum of count times the packed A_{i,q^p}^{-1} (``_pack_tables``); a
-    restriction of that shape at offset d >= 0 above it shifts every
-    packed node int left by ``bits * d``, which is the same packing, and
-    one below it packs from the tables again, so that a power below the
-    base still raises.  Each packed restriction keeps its
-    templates ``(packed delta, multiplicity, total)``, so a result is
-    ``tuple(map(add, root, packed delta))``.  A restriction with a negative
-    exponent gets None.
+    rank-1 step tables of ``expand_Li_steps``, with the largest total.
+    Each packed restriction of the shape, in any layout, packs those
+    tables shifted to it, once, as the sum of count times the packed
+    A_{i,q^p}^{-1} (``_pack_tables``), so a power below the base raises.
+    It keeps its templates ``(packed delta, multiplicity, total)``, so a
+    result is ``tuple(map(add, root, packed delta))``.  A restriction with
+    a negative exponent gets None.
 
     Keys.  Few distinct ints occur at a slot, so each int's key pairs and a
     no-negative-exponent flag are cached per slot, both read off in the one
@@ -239,7 +235,7 @@ class _Expander:
     ``min(x) >= 0``.
     """
 
-    __slots__ = ("c", "_slot", "base", "bits", "_room", "_shapes", "_laid",
+    __slots__ = ("c", "_slot", "base", "bits", "_room", "_shapes",
                  "_packed", "_seen", "_by_node")
 
     def __init__(self, c: CartanData, base=None):
@@ -248,10 +244,8 @@ class _Expander:
         self.base = base  # lowest power of the layout, None until one is seen
         self.bits = 16
         self._room = 0  # largest witness total the current run may reach
-        self._shapes = {}  # (i, shape) -> (base, templates) of its first restriction
-        # (i, shape) -> (base, largest total, packed templates) of its first
-        # restriction in the current layout
-        self._laid = {}
+        # (i, shape) -> (base, largest total, step tables) of its first restriction
+        self._shapes = {}
         # per slot, packed restriction -> (largest total, packed templates)
         self._packed = [{} for _ in c.nodes]
         # per slot, node int -> (its key pairs, no negative exponent)
@@ -337,20 +331,13 @@ class _Expander:
         ri = self.c.r(i)
         base = ri * (restr[0][0][1] // ri) if restr else 0
         shape = (i, tuple((p - base, e) for (_, p), e in restr))
-        laid = self._laid.get(shape)
-        if laid is not None and base >= laid[0]:
-            shift = self.bits * (base - laid[0])
-            return laid[1], [(tuple(w << shift for w in d), t, total)
-                             for d, t, total in laid[2]]
         first = self._shapes.get(shape)
         if first is None:
+            tables = expand_Li_steps(self.c, Monomial._from_key(restr), i)[1:]
             first = self._shapes[shape] = (
-                base, expand_Li_steps(self.c, Monomial._from_key(restr), i)[1:])
-        tpl = self._pack_tables(i, first[1], base - first[0])
-        tmax = max((total for _, _, total in tpl), default=0)
-        if laid is None:
-            self._laid[shape] = (base, tmax, tpl)
-        return tmax, tpl
+                base, max((total for _, _, total in tables), default=0), tables)
+        first_base, tmax, tables = first
+        return tmax, self._pack_tables(i, tables, base - first_base)
 
     def _pack_tables(self, i, tables, shift):
         """Templates ``(packed delta, multiplicity, total)`` of node-i step
@@ -388,7 +375,6 @@ class _Expander:
         return tuple(x)
 
     def _new_layout(self):
-        self._laid.clear()
         for cache in self._packed + self._seen:
             cache.clear()
 
@@ -498,7 +484,8 @@ def generate_process(c: CartanData, m: Monomial,
     read, and the level sorted by them, when the run reaches it, so the
     budget and ``stop_on_dominant`` stop the run at the same pop as a heap
     would.  The chains are built at the end, from the links, with one
-    ``Monomial`` per generated monomial.  ``_expander`` lets
+    ``Monomial`` per generated monomial, whose key ``_Expander.read``
+    joins again from its per-node caches.  ``_expander`` lets
     ``fm_algorithm`` hand over the expansions its closure already made,
     and ``_dominant_only`` keeps only the chains it reads: those of the
     start, of every generated dominant monomial and of their ancestors.
@@ -531,23 +518,15 @@ def _generate(c, m, budget, stop_on_dominant, dominant_only, ex):
     links = {x0: None}  # generated monomial -> (packed root, node) of its step
     canonical = {x0: x0}  # one tuple per monomial, shared by links and covered
     covered = [set() for _ in c.nodes]
-    keys = {}  # popped monomial -> its key, for the chains at the end
-    dominant = {}  # generated dominant monomial but the start -> its key
+    dominant = []  # generated dominant monomials but the start
     check = stop_on_dominant or dominant_only
     read = ex.read
-
-    def popping(x):
-        key = read(x)[0]
-        if not dominant_only:
-            keys[x] = key
-        return key, x
-
     levels = defaultdict(list)
     levels[0].append(x0)
     steps = 0
     partial = False
     stop = False
-    for total, (_, x) in _in_level_order(levels, popping):
+    for total, (_, x) in _in_level_order(levels, lambda x: (read(x)[0], x)):
         for s, i in enumerate(c.nodes):
             tpl = ex.templates(x, s, total)
             if tpl is None:
@@ -572,16 +551,13 @@ def _generate(c, m, budget, stop_on_dominant, dominant_only, ex):
                 links[nu] = link
                 levels[total + n].append(nu)
                 # a negative node int has a negative top exponent
-                if check and min(nu) >= 0:
-                    key, is_dominant = read(nu)
-                    if is_dominant:
-                        dominant[nu] = key
-                        stop = stop or stop_on_dominant
+                if check and min(nu) >= 0 and read(nu)[1]:
+                    dominant.append(nu)
+                    stop = stop or stop_on_dominant
             if stop:
                 break
         if stop:
             break
-    keys.update(dominant)
     found = {x0: m}  # packed -> Monomial, for every monomial with a chain
     chains = {m: ()}
     for last in dominant if dominant_only else links:
@@ -592,10 +568,7 @@ def _generate(c, m, budget, stop_on_dominant, dominant_only, ex):
             last = links[last][0]
         for nu in reversed(path):
             root, i = links[nu]
-            key = keys.get(nu)
-            if key is None:
-                key = read(nu)[0]
-            nu_m = found[nu] = Monomial._from_key(key)
+            nu_m = found[nu] = Monomial._from_key(read(nu)[0])
             chains[nu_m] = chains[found[root]] + (TraceStep(i, found[root], nu_m),)
     return GenerationTrace(start=m, chains=chains, partial=partial, steps=steps)
 

@@ -114,43 +114,6 @@ class Monomial:
         return format_monomial(self)
 
 
-def exponent_profile(m: Monomial, c: CartanData | None = None):
-    """Exponent table, per-node sums and the weight vector of a monomial.
-
-    Returns ``(u, u_sums, omega)`` where u maps (node, power) to the stored
-    exponent, u_sums maps each node to its power-summed exponent, and omega
-    lists the fundamental-weight coefficients (u_sums per node, ordered by
-    the diagram's node order when a CartanData is supplied, else by the
-    sorted nodes present in m).
-    """
-    u = dict(m.items())
-    nodes = c.nodes if c is not None else tuple(sorted({i for (i, _) in u}))
-    sums = {i: 0 for i in nodes}
-    for (i, _), v in u.items():
-        sums[i] = sums.get(i, 0) + v
-    omega = tuple(sums.get(i, 0) for i in nodes)
-    return u, sums, omega
-
-
-def is_right_negative(m: Monomial) -> bool:
-    """True iff every exponent at the maximal active power is <= 0.
-
-    The defining condition quantifies over spectral shifts within the
-    orbit, but each shift inspects the same maximal power, so the single
-    check below is equivalent (asserted by a dedicated test rather than
-    assumed silently).  The identity monomial is excluded by definition.
-    """
-    if m.is_identity():
-        raise ValueError("right-negativity is undefined for the identity monomial")
-    top = m.max_power()
-    return all(v <= 0 for (_, r), v in m.items() if r == top)
-
-
-def is_thin_monomial(m: Monomial) -> bool:
-    """True iff every exponent lies in {-1, 0, 1}."""
-    return all(-1 <= v <= 1 for _, v in m.items())
-
-
 def a_monomial(c: CartanData, i, r: int) -> Monomial:
     """The root monomial A_{i,q^r}: the diagram's A-row of node i shifted by r."""
     return Monomial({(j, r + p): ae for (j, p), ae in c.a_row(i)})
@@ -316,11 +279,3 @@ def plain_json(doc):
     if isinstance(doc, Monomial):
         return monomial_to_json(doc)
     return witness_to_json(doc) if isinstance(doc, AWitness) else doc
-
-
-def witness_from_json(data) -> AWitness:
-    v = {}
-    for entry in data:
-        k = (int(entry["node"]), int(entry["power"]))
-        v[k] = v.get(k, 0) + int(entry["count"])
-    return AWitness(v)

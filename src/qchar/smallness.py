@@ -228,26 +228,6 @@ def enumerate_dominant_below(c: CartanData, i, k: int, r: int,
     return Enumeration(entries=out, partial=partial, visited=visited)
 
 
-def check_type_A_form(c: CartanData, entries, k: int) -> bool:
-    """Gap condition on an enumeration from the first node of a type-A chain.
-
-    Every dominant monomial must factor as Y_{i_1,q^{l_1}}...Y_{i_R,q^{l_R}}
-    with l ascending and l_{t+1} - l_t >= i_t + i_{t+1} for consecutive
-    factors (exponents expand to repeated factors).
-    """
-    for m, _ in entries:
-        factors = []
-        for (i, l), e in m.items():
-            if e < 0:
-                return False
-            factors.extend([(l, i)] * e)
-        factors.sort()
-        for (l1, i1), (l2, i2) in zip(factors, factors[1:]):
-            if l2 - l1 < i1 + i2:
-                return False
-    return True
-
-
 @dataclass
 class EmpiricalRecord:
     """Character-level evidence for one (diagram, node, level) cell."""

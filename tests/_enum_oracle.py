@@ -1,6 +1,7 @@
-"""Brute-force dominant-monomial oracles shared by the enumeration tests."""
+"""Brute-force dominant-monomial oracles shared by the enumeration tests,
+and the gap condition of a type-A enumeration."""
 
-from qchar.cartan import graph_distance
+from qchar.cartan import CartanData, graph_distance
 from qchar.monomials import Monomial, a_monomial, kr_highest
 
 
@@ -48,3 +49,23 @@ def box_dominants(c, i, k, r, cap):
 
     rec(0)
     return sorted(set(found), key=lambda m: m.key)
+
+
+def check_type_A_form(c: CartanData, entries, k: int) -> bool:
+    """Gap condition on an enumeration from the first node of a type-A chain.
+
+    Every dominant monomial must factor as Y_{i_1,q^{l_1}}...Y_{i_R,q^{l_R}}
+    with l ascending and l_{t+1} - l_t >= i_t + i_{t+1} for consecutive
+    factors (exponents expand to repeated factors).
+    """
+    for m, _ in entries:
+        factors = []
+        for (i, l), e in m.items():
+            if e < 0:
+                return False
+            factors.extend([(l, i)] * e)
+        factors.sort()
+        for (l1, i1), (l2, i2) in zip(factors, factors[1:]):
+            if l2 - l1 < i1 + i2:
+                return False
+    return True

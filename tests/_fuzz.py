@@ -2,14 +2,14 @@
 
 import random
 
+from _monomials import exponent_profile, is_right_negative
+
 from qchar.cartan import build_diagram
 from qchar.monomials import (
     AWitness,
     Monomial,
     a_monomial,
     divide_as_a_product,
-    exponent_profile,
-    is_right_negative,
 )
 
 FUZZ_DIAGRAMS = [build_diagram("A", 2), build_diagram("A", 3),

@@ -10,13 +10,14 @@ import itertools
 import time
 
 from _characters import qchar_is_thin
-from _enum_oracle import box_cells, box_dominants
+from _enum_oracle import box_cells, box_dominants, check_type_A_form
 from _fuzz import (
     run_partial_order_axioms,
     run_right_negativity,
     run_weight_bookkeeping,
     run_witness_round_trip,
 )
+from _sl2 import standard_qchar_sl2
 
 from qchar.cartan import build_diagram
 from qchar.expansion import (
@@ -33,12 +34,10 @@ from qchar.monomials import (
     kr_highest,
     parse_monomial,
 )
-from qchar.sl2 import standard_qchar_sl2
 from qchar.smallness import (
     NOT_SMALL,
     Budgets,
     check_small_empirical,
-    check_type_A_form,
     classify,
     enumerate_dominant_below,
     sweep,

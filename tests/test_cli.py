@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -358,6 +359,22 @@ def test_module_entry_point_subprocess():
     assert first.returncode == 0
     assert first.stdout == "1_0 + 1_2^-1\n"
     assert first.stdout == second.stdout  # byte-identical across processes
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_1_without_a_traceback(unbuffered):
+    # the read end is closed before the spawn, so every write fails whatever
+    # the timing: unbuffered at the first print, buffered at main's flush
+    r, w = os.pipe()
+    os.close(r)
+    cmd = [sys.executable, "-m", "qchar.cli", "qchar", "--g", "A3", "1_1 3_1 2_4"]
+    try:
+        done = subprocess.run(cmd, stdout=w, stderr=subprocess.PIPE, text=True,
+                              env=dict(os.environ, PYTHONUNBUFFERED=unbuffered))
+    finally:
+        os.close(w)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr and done.stderr == ""
 
 
 def test_verify_remarks_json(capsys):

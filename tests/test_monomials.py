@@ -2,6 +2,12 @@ import json
 import random
 
 import pytest
+from _monomials import (
+    exponent_profile,
+    is_right_negative,
+    is_thin_monomial,
+    witness_from_json,
+)
 
 from qchar.cartan import build_diagram
 from qchar.monomials import (
@@ -9,15 +15,11 @@ from qchar.monomials import (
     Monomial,
     a_monomial,
     divide_as_a_product,
-    exponent_profile,
     format_monomial,
-    is_right_negative,
-    is_thin_monomial,
     kr_highest,
     monomial_from_json,
     monomial_to_json,
     parse_monomial,
-    witness_from_json,
     witness_to_json,
 )
 

@@ -2,17 +2,16 @@ import random
 from itertools import combinations
 
 import pytest
+from _sl2 import in_special_position, standard_qchar_sl2
 
 from qchar.cartan import build_diagram
 from qchar.monomials import AWitness, Monomial, a_monomial, kr_highest
 from qchar.sl2 import (
-    in_special_position,
     kr_qchar_sl2,
     normal_writing,
     product,
     simple_qchar_sl2,
     sl2_divide,
-    standard_qchar_sl2,
 )
 
 A1 = build_diagram("A", 1)

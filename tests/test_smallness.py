@@ -2,7 +2,7 @@ import functools
 
 import pytest
 from _characters import qchar_is_thin
-from _enum_oracle import box_dominants
+from _enum_oracle import box_dominants, check_type_A_form
 
 from qchar.cartan import DiagramError, build_diagram, parse_diagram
 from qchar.expansion import NOT_SPECIAL, SPECIAL_FM_CONSISTENT, fm_algorithm
@@ -13,7 +13,6 @@ from qchar.smallness import (
     UNDETERMINED,
     Budgets,
     check_small_empirical,
-    check_type_A_form,
     classify,
     enumerate_dominant_below,
     no_candidate_entries,
