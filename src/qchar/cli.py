@@ -8,7 +8,10 @@ QCHAR_ENUM_NODES environment variable, then to the built-in default.
 
 Exit codes: 0 success/agreement, 1 stdout closed before the output was
 written (as by ``| head``), 2 parse or usage error, 3 replay or sweep
-mismatch, 4 budget-limited (partial) result.
+mismatch, 4 budget-limited (partial) result.  Help text counts as output
+when stdout is buffered, so ``--help`` into a closed stdout exits 1 too;
+when stdout is unbuffered, argparse swallows the failed write and
+``--help`` exits 0.
 
 ``main`` builds its parser on its first call in a process and reuses it on
 every later call; ``build_parser()`` returns a fresh one.  Nothing is built
@@ -386,11 +389,12 @@ def main(argv=None) -> int:
     later call, so a caller that runs many commands pays for it once.
     """
     try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_PARSE if exc.code not in (0, None) else 0
-    try:
-        code = _COMMANDS[args.command](args)
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as exc:  # usage error or help, already printed
+            code = EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
+        else:
+            code = _COMMANDS[args.command](args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit
         return code
     except (DiagramError, ValueError) as exc:

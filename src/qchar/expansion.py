@@ -2,9 +2,9 @@
 Frenkel-Mukhin closure.
 
 ``expand_Li`` pushes the rank-1 closed forms through a chosen node: restrict
-an i-dominant monomial to its Y_i content (one rank-1 lattice per residue
-class of the power modulo r_i), take the simple rank-1 character, and map
-each rank-1 root step A_{q^t}^{-1} back to A_{i,q^{...}}^{-1}.
+an i-dominant monomial to its Y_i content, take the simple character of
+U_{q_i}(sl2), q_i = q^{r_i}, in the rank-1 lattice of step r_i, and read
+each rank-1 root step A_{q^p}^{-1} as A_{i,q^p}^{-1}.
 
 ``generate_process`` grows a set of monomials certified to occur in the
 character of the simple module L(m): starting from a dominant m, any
@@ -141,15 +141,7 @@ def expand_Li_steps(c: CartanData, m: Monomial, i) -> list:
     Distinct tables give distinct results."""
     if not m.is_dominant([i]):
         raise ValueError(f"monomial {format_monomial(m)} is not {i}-dominant")
-    ri = c.r(i)
-    classes = {}
-    for s, e in m.node_powers(i).items():
-        classes.setdefault(s % ri, {})[s // ri] = e
-    chars = [{tuple((c0 + ri * p, x) for p, x in table): t
-              for table, t in sl2.simple_qchar_sl2(classes[c0]).items()}
-             for c0 in sorted(classes)]
-    # one class (always when r_i = 1) is the whole character as it is
-    char = chars[0] if len(chars) == 1 else sl2.product(chars)
+    char = sl2.simple_qchar_sl2(m.node_powers(i), c.r(i))
     return [(table, t, sum(x for _, x in table)) for table, t in char.items()]
 
 
@@ -210,14 +202,15 @@ class _Expander:
 
     Templates.  ``expand_Li_steps`` reads a root only through its node-i
     restriction, and shifting that restriction by a multiple of r_i shifts
-    every delta by the same amount.  A restriction's shape is the
-    restriction shifted down by ``r_i * (min power // r_i)``.  The first
-    restriction of a shape is expanded once, as a bare node-i monomial, and
-    its non-root results are kept as ``(table, multiplicity, total)``, the
-    rank-1 step tables of ``expand_Li_steps``, with the largest total.
-    Each packed restriction of the shape, in any layout, packs those
-    tables shifted to it, once, as the sum of count times the packed
-    A_{i,q^p}^{-1} (``_pack_tables``), so a power below the base raises.
+    every delta by the same amount.  A restriction's base is
+    ``r_i * (min power // r_i)``, and its shape is the restriction shifted
+    down by its base.  Each shape is expanded once, itself, as a bare
+    node-i monomial at base 0, and its non-root results are kept as
+    ``(table, multiplicity, total)``, the rank-1 step tables of
+    ``expand_Li_steps``, with the largest total.  Each packed restriction
+    of the shape, in any layout, packs those tables raised by its base,
+    once, as the sum of count times the packed A_{i,q^p}^{-1}
+    (``_pack_tables``), so a power below the layout's base raises.
     It keeps its templates ``(packed delta, multiplicity, total)``, so a
     result is ``tuple(map(add, root, packed delta))``.  A restriction with
     a negative exponent gets None.
@@ -244,7 +237,7 @@ class _Expander:
         self.base = base  # lowest power of the layout, None until one is seen
         self.bits = 16
         self._room = 0  # largest witness total the current run may reach
-        # (i, shape) -> (base, largest total, step tables) of its first restriction
+        # (i, shape) -> (largest total, step tables) of the shape at base 0
         self._shapes = {}
         # per slot, packed restriction -> (largest total, packed templates)
         self._packed = [{} for _ in c.nodes]
@@ -330,14 +323,14 @@ class _Expander:
         i = self.c.nodes[s]
         ri = self.c.r(i)
         base = ri * (restr[0][0][1] // ri) if restr else 0
-        shape = (i, tuple((p - base, e) for (_, p), e in restr))
-        first = self._shapes.get(shape)
-        if first is None:
-            tables = expand_Li_steps(self.c, Monomial._from_key(restr), i)[1:]
-            first = self._shapes[shape] = (
-                base, max((total for _, _, total in tables), default=0), tables)
-        first_base, tmax, tables = first
-        return tmax, self._pack_tables(i, tables, base - first_base)
+        shape = tuple(((i, p - base), e) for (_, p), e in restr)
+        known = self._shapes.get((i, shape))
+        if known is None:
+            tables = expand_Li_steps(self.c, Monomial._from_key(shape), i)[1:]
+            known = self._shapes[(i, shape)] = (
+                max((total for _, _, total in tables), default=0), tables)
+        tmax, tables = known
+        return tmax, self._pack_tables(i, tables, base)
 
     def _pack_tables(self, i, tables, shift):
         """Templates ``(packed delta, multiplicity, total)`` of node-i step

@@ -92,10 +92,6 @@ class Monomial:
     def is_identity(self) -> bool:
         return not self.key
 
-    def max_power(self):
-        """Largest power carrying a nonzero exponent (None for the identity)."""
-        return max((r for (_, r), _ in self.key), default=None)
-
     def is_dominant(self, nodes=None) -> bool:
         """True iff all stored exponents at the given nodes are nonnegative.
 

@@ -1,5 +1,5 @@
-"""Test-side monomial oracles: the exponent profile, right negativity,
-thinness, and a witness read back from its JSON form."""
+"""Test-side monomial oracles: the exponent profile, the largest power,
+right negativity, thinness, and a witness read back from its JSON form."""
 
 from __future__ import annotations
 
@@ -25,6 +25,11 @@ def exponent_profile(m: Monomial, c: CartanData | None = None):
     return u, sums, omega
 
 
+def max_power(m: Monomial):
+    """Largest power carrying a nonzero exponent (None for the identity)."""
+    return max((r for (_, r), _ in m.items()), default=None)
+
+
 def is_right_negative(m: Monomial) -> bool:
     """True iff every exponent at the maximal active power is <= 0.
 
@@ -35,7 +40,7 @@ def is_right_negative(m: Monomial) -> bool:
     """
     if m.is_identity():
         raise ValueError("right-negativity is undefined for the identity monomial")
-    top = m.max_power()
+    top = max_power(m)
     return all(v <= 0 for (_, r), v in m.items() if r == top)
 
 

@@ -361,13 +361,17 @@ def test_module_entry_point_subprocess():
     assert first.stdout == second.stdout  # byte-identical across processes
 
 
-@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
-def test_closed_stdout_exits_1_without_a_traceback(unbuffered):
+@pytest.mark.parametrize("unbuffered, args", [
+    ("", ["qchar", "--g", "A3", "1_1 3_1 2_4"]),
+    ("1", ["qchar", "--g", "A3", "1_1 3_1 2_4"]),
+    ("", ["--help"]),  # printed by argparse, flushed by main all the same
+], ids=["buffered", "unbuffered", "help-buffered"])
+def test_closed_stdout_exits_1_without_a_traceback(unbuffered, args):
     # the read end is closed before the spawn, so every write fails whatever
     # the timing: unbuffered at the first print, buffered at main's flush
     r, w = os.pipe()
     os.close(r)
-    cmd = [sys.executable, "-m", "qchar.cli", "qchar", "--g", "A3", "1_1 3_1 2_4"]
+    cmd = [sys.executable, "-m", "qchar.cli", *args]
     try:
         done = subprocess.run(cmd, stdout=w, stderr=subprocess.PIPE, text=True,
                               env=dict(os.environ, PYTHONUNBUFFERED=unbuffered))

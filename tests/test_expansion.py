@@ -5,6 +5,7 @@ from operator import add
 
 import pytest
 from _characters import qchar_is_thin
+from _sl2 import expand_by_classes, kr_qchar_sl2
 
 from qchar import expansion, sl2
 from qchar.cartan import CartanData, build_diagram, parse_diagram
@@ -101,6 +102,34 @@ def test_expand_matches_rank1_restriction():
             restr = _rank1_steps(table, _rank1(m.node_powers(i)))
             expected[restr] = expected.get(restr, 0) + t
         assert got == expected
+
+
+@pytest.mark.parametrize("series, rank", [("B", 3), ("C", 3), ("F", 4), ("G", 2)])
+def test_expand_matches_the_product_over_residue_classes(series, rank):
+    # one q_i-stepped rank-1 character against the classes of the power
+    # modulo r_i, each expanded at step 1 and multiplied back together
+    c = build_diagram(series, rank)
+    rng = random.Random(f"classes {series}{rank}")
+    two_classes = long_string = 0
+    for i in c.nodes:
+        ri = c.r(i)
+        for _ in range(60):
+            e = {}
+            for _ in range(rng.randint(0, 5)):
+                key = (i, rng.randint(-3 * ri, 3 * ri))
+                e[key] = e.get(key, 0) + rng.randint(1, 2)
+            for j in rng.sample(c.nodes, min(2, len(c.nodes))):
+                if j != i:
+                    e[(j, rng.randint(-4, 4))] = rng.choice((-1, 1))
+            m = Monomial(e)
+            powers = m.node_powers(i)
+            got = expand_Li_steps(c, m, i)
+            want = expand_by_classes(powers, ri)
+            assert got[0] == want[0] == ((), 1, 0)
+            assert sorted(got) == sorted(want), (i, m)
+            two_classes += len({p % ri for p in powers}) >= 2
+            long_string += any(p + 2 * ri in powers for p in powers)
+    assert two_classes and long_string
 
 
 def test_expand_scales_with_symmetrizer():
@@ -362,7 +391,7 @@ def test_fm_rank1_closed_forms():
         rep = fm_algorithm(A1, X)
         assert rep.verdict == SPECIAL_FM_CONSISTENT
         assert rep.qchar.terms == {_rank1_steps(table, X): t
-                                   for table, t in sl2.kr_qchar_sl2(k, 0).items()}
+                                   for table, t in kr_qchar_sl2(k, 0).items()}
 
 
 def test_fm_counter_not_special():

@@ -2,17 +2,11 @@ import random
 from itertools import combinations
 
 import pytest
-from _sl2 import in_special_position, standard_qchar_sl2
+from _sl2 import in_special_position, kr_qchar_sl2, product, standard_qchar_sl2
 
 from qchar.cartan import build_diagram
 from qchar.monomials import AWitness, Monomial, a_monomial, kr_highest
-from qchar.sl2 import (
-    kr_qchar_sl2,
-    normal_writing,
-    product,
-    simple_qchar_sl2,
-    sl2_divide,
-)
+from qchar.sl2 import normal_writing, simple_qchar_sl2, sl2_divide
 
 A1 = build_diagram("A", 1)
 
@@ -138,6 +132,14 @@ def test_normal_writing_examples():
     assert normal_writing(Y((0, 1), (2, 2), (4, 1))) == ((1, 2), (3, 2))
     with pytest.raises(ValueError):
         normal_writing(Y((0, -1)))
+    # at step r a string moves by 2r, so powers 2 apart do not join at r = 2
+    assert normal_writing(Y((0, 1), (4, 1)), 2) == ((2, 2),)
+    assert normal_writing(Y((0, 1), (2, 1)), 2) == ((1, 0), (1, 2))
+    assert normal_writing(Y((0, 1), (4, 2), (8, 1)), 2) == ((1, 4), (3, 4))
+    assert normal_writing(Y((-3, 1), (3, 1), (9, 1)), 3) == ((3, 3),)
+    assert normal_writing(Y((0, 1), (1, 1), (6, 1)), 3) == ((1, 1), (2, 3))
+    assert simple_qchar_sl2(Y((0, 1), (4, 1)), 2) == {
+        (): 1, ((6, 1),): 1, ((2, 1), (6, 1)): 1}
 
 
 def test_normal_writing_properties():
