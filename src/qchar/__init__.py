@@ -27,7 +27,6 @@ from .monomials import (
     format_monomial,
     kr_highest,
     monomial_from_json,
-    monomial_to_json,
     parse_monomial,
 )
 from .smallness import (
@@ -70,7 +69,6 @@ __all__ = [
     "graph_distance",
     "kr_highest",
     "monomial_from_json",
-    "monomial_to_json",
     "parse_diagram",
     "parse_monomial",
     "sweep",

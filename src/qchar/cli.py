@@ -7,11 +7,11 @@ flag, falling back to the QCHAR_FM_STEPS, QCHAR_PROCESS_STEPS or
 QCHAR_ENUM_NODES environment variable, then to the built-in default.
 
 Exit codes: 0 success/agreement, 1 stdout closed before the output was
-written (as by ``| head``), 2 parse or usage error, 3 replay or sweep
-mismatch, 4 budget-limited (partial) result.  Help text counts as output
-when stdout is buffered, so ``--help`` into a closed stdout exits 1 too;
-when stdout is unbuffered, argparse swallows the failed write and
-``--help`` exits 0.
+written (as by ``| head``) or an uncaught internal error (with its
+traceback on stderr), 2 parse or usage error, 3 replay or sweep mismatch,
+4 budget-limited (partial) result.  Help text counts as output when stdout
+is buffered, so ``--help`` into a closed stdout exits 1 too; when stdout is
+unbuffered, argparse swallows the failed write and ``--help`` exits 0.
 
 ``main`` builds its parser on its first call in a process and reuses it on
 every later call; ``build_parser()`` returns a fresh one.  Nothing is built
@@ -27,16 +27,9 @@ import os
 import sys
 
 from .cartan import DiagramError, build_diagram, parse_diagram
-from .expansion import (
-    DEFAULT_FM_STEPS,
-    DEFAULT_PROCESS_STEPS,
-    INCONCLUSIVE,
-    NOT_SPECIAL,
-    fm_algorithm,
-)
+from .expansion import INCONCLUSIVE, NOT_SPECIAL, fm_algorithm
 from .monomials import AWitness, Monomial, format_monomial, parse_monomial
 from .smallness import (
-    DEFAULT_ENUM_NODES,
     UNDETERMINED,
     Budgets,
     check_small_empirical,
@@ -55,10 +48,11 @@ EXIT_MISMATCH = 3
 EXIT_PARTIAL = 4
 
 
-def _env_default(name, fallback):
+def _env_budget(name):
+    """The budget an environment variable sets, None when it is unset."""
     raw = os.environ.get(name)
     if raw is None:
-        return fallback
+        return None
     try:
         value = int(raw)
     except ValueError as exc:
@@ -68,11 +62,11 @@ def _env_default(name, fallback):
     return value
 
 
-# Budgets field -> (flag, environment variable, default)
+# Budgets field -> (flag, environment variable)
 _BUDGETS = {
-    "fm_steps": ("--fm-steps", "QCHAR_FM_STEPS", DEFAULT_FM_STEPS),
-    "process_steps": ("--process-steps", "QCHAR_PROCESS_STEPS", DEFAULT_PROCESS_STEPS),
-    "enum_nodes": ("--enum-nodes", "QCHAR_ENUM_NODES", DEFAULT_ENUM_NODES),
+    "fm_steps": ("--fm-steps", "QCHAR_FM_STEPS"),
+    "process_steps": ("--process-steps", "QCHAR_PROCESS_STEPS"),
+    "enum_nodes": ("--enum-nodes", "QCHAR_ENUM_NODES"),
 }
 
 
@@ -98,14 +92,12 @@ def _add_common(p, budgets=tuple(_BUDGETS), r=False):
 
 
 def _budgets(args) -> Budgets:
-    """The budgets whose flags the command took; the others keep their
-    defaults, and their environment variables are not read."""
-    values = {}
-    for name, (_, env, default) in _BUDGETS.items():
-        if hasattr(args, name):
-            flag = getattr(args, name)
-            values[name] = flag if flag is not None else _env_default(env, default)
-    return Budgets(**values)
+    """The budgets whose flags the command took, each from its flag, else its
+    environment variable, else the ``Budgets`` default; other variables go
+    unread."""
+    values = {name: getattr(args, name) or _env_budget(env)
+              for name, (_, env) in _BUDGETS.items() if hasattr(args, name)}
+    return Budgets(**{name: value for name, value in values.items() if value})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -176,8 +168,10 @@ def _parse_diagram_list(spec):
 
 
 def _json_text(doc) -> str:
-    """``json.dumps(plain_json(doc), indent=2)``, byte for byte, without its
-    slow path.
+    """The package's one JSON writer: ``json.dumps(doc, indent=2)`` byte for
+    byte, with each Monomial as the list of its ``{"node", "power",
+    "exponent"}`` objects and each AWitness as the list of its ``{"node",
+    "power", "count"}`` objects, in key order.
 
     With ``indent`` set, CPython renders through its pure-Python encoder.
     Here every piece of the text is appended to one list, which is joined
@@ -185,8 +179,8 @@ def _json_text(doc) -> str:
     container around it.  Plain ints go through ``int.__repr__``, strings
     through the C escaper and other scalars (bools, None, floats) through
     ``json.dumps``; each ``"key": `` prefix is rendered once.  A Monomial
-    or AWitness is rendered from its sorted key as the list of its factor
-    objects, each factor rendered once per depth and reused.
+    or AWitness is rendered from its sorted key, each factor rendered once
+    per depth and reused.
     """
     enc = json.encoder.encode_basestring_ascii
     out = []

@@ -64,12 +64,7 @@ from operator import add
 
 from . import sl2
 from .cartan import CartanData, DiagramError
-from .monomials import (
-    AWitness,
-    Monomial,
-    format_monomial,
-    plain_json,
-)
+from .monomials import AWitness, Monomial, format_monomial
 
 SPECIAL_FM_CONSISTENT = "SpecialFMConsistent"
 NOT_SPECIAL = "NotSpecial"
@@ -129,9 +124,6 @@ class QCharacter:
                 "terms": [{"monomial": m, "multiplicity": t}
                           for m, t in self.items_sorted()]}
 
-    def to_json(self) -> dict:
-        return plain_json(self._doc())
-
 
 def expand_Li_steps(c: CartanData, m: Monomial, i) -> list:
     """Node-i expansion as rank-1 step tables: ``(table, multiplicity,
@@ -139,6 +131,8 @@ def expand_Li_steps(c: CartanData, m: Monomial, i) -> list:
     pairs in ascending power, the result is m times the product of the
     A_{i,q^power}^{-count}, and ``total`` is the sum of the counts.
     Distinct tables give distinct results."""
+    if i not in c.nodes:
+        raise DiagramError(f"node {i} not in diagram {c.name}")
     if not m.is_dominant([i]):
         raise ValueError(f"monomial {format_monomial(m)} is not {i}-dominant")
     char = sl2.simple_qchar_sl2(m.node_powers(i), c.r(i))
@@ -384,9 +378,6 @@ class TraceStep:
     def _doc(self) -> dict:
         return {"node": self.node, "root": self.root, "result": self.result}
 
-    def to_json(self) -> dict:
-        return plain_json(self._doc())
-
 
 @dataclass
 class GenerationTrace:
@@ -396,9 +387,6 @@ class GenerationTrace:
     chains: dict = field(default_factory=dict)  # Monomial -> tuple[TraceStep]
     partial: bool = False
     steps: int = 0
-
-    def monomials(self):
-        return sorted(self.chains, key=lambda m: m.key)
 
     def dominant_monomials(self):
         """Dominant generated monomials other than the start."""
@@ -432,13 +420,6 @@ class GenerationTrace:
             if cur != m:
                 return False
         return True
-
-    def to_json(self) -> dict:
-        return plain_json({
-            "start": self.start,
-            "generated": [{"monomial": m, "chain": [s._doc() for s in self.chains[m]]}
-                          for m in self.monomials()],
-            "partial": self.partial, "steps": self.steps})
 
 
 def _check_start(c: CartanData, m: Monomial, what: str):
@@ -593,9 +574,6 @@ class SpecialnessReport:
         if self.diagnostic:
             out["diagnostic"] = self.diagnostic
         return out
-
-    def to_json(self) -> dict:
-        return plain_json(self._doc())
 
 
 def fm_algorithm(c: CartanData, m: Monomial,

@@ -250,28 +250,9 @@ def parse_monomial(text: str) -> Monomial:
     return Monomial(e)
 
 
-def monomial_to_json(m: Monomial) -> list:
-    return [{"node": i, "power": r, "exponent": e} for (i, r), e in m.items()]
-
-
 def monomial_from_json(data) -> Monomial:
     e = {}
     for entry in data:
         k = (int(entry["node"]), int(entry["power"]))
         e[k] = e.get(k, 0) + int(entry["exponent"])
     return Monomial(e)
-
-
-def witness_to_json(w: AWitness) -> list:
-    return [{"node": i, "power": r, "count": x} for (i, r), x in w.items()]
-
-
-def plain_json(doc):
-    """A report document with each Monomial and AWitness in its JSON form."""
-    if isinstance(doc, dict):
-        return {k: plain_json(v) for k, v in doc.items()}
-    if isinstance(doc, list):
-        return [plain_json(v) for v in doc]
-    if isinstance(doc, Monomial):
-        return monomial_to_json(doc)
-    return witness_to_json(doc) if isinstance(doc, AWitness) else doc

@@ -42,7 +42,6 @@ from .monomials import (
     format_monomial,
     kr_highest,
     parse_monomial,
-    plain_json,
 )
 
 SMALL = "Small"
@@ -120,7 +119,8 @@ def enumerate_dominant_below(c: CartanData, i, k: int, r: int,
     """All dominant monomials m' <= X for X the level-k string at node i.
 
     Depth-first search over root-step tables supported on the locality box,
-    per-cell counts capped at k, scanning powers from the top down.  The
+    per-cell counts capped at k, scanning powers from the top down, in one
+    loop with the counts as its stack, so no box is too deep for it.  The
     exponents live in a list indexed by the box's keys (those of X and of
     every cell's A-row), and a cell's step is a tuple of (position, change)
     pairs.  A branch dies as soon as a negative exponent sits on a key that
@@ -129,21 +129,21 @@ def enumerate_dominant_below(c: CartanData, i, k: int, r: int,
     and lowers every other key it touches, so such an exponent stays
     negative on every leaf below.
 
-    The prune is a finalisation test.  ``check[idx]`` holds the keys that
-    cell idx-1 touches and that no cell from idx on raises.  A node at
-    depth idx has a live parent, whose negative keys were all raisable
-    from idx-1 on; a key that cell idx-1 does not touch keeps the parent's
-    exponent and, if negative, stays raisable from idx on.  So a node holds
-    a negative key that nothing below it raises exactly when some key in
-    ``check[idx]`` is negative, and this test kills the same nodes as
-    comparing every negative key with the keys raisable from idx on.  Each
-    child is counted in ``visited`` and then tested before the search
+    The prune is a finalisation test.  ``levels[idx]`` holds the keys that
+    cell idx touches and that no later cell raises.  A node that sets the
+    count of cell idx has a live parent, whose negative keys were all
+    raisable from cell idx on; a key that cell idx does not touch keeps the
+    parent's exponent and, if negative, stays raisable after idx.  So a
+    node holds a negative key that nothing below it raises exactly when
+    some key in ``levels[idx]`` is negative, and this test kills the same
+    nodes as comparing every negative key with the keys raisable after idx.
+    Each child is counted in ``visited`` and then tested before the search
     descends into it, so ``visited``, ``partial`` and the budget count
-    every node either test would reach.  A dead child whose negative key
-    is one its own cell lowers has dead siblings at every larger count;
-    they are counted in one step, not built.  At a leaf nothing is
-    raisable, so a live leaf is dominant.  Every emitted monomial is
-    checked against its witness applied to X.
+    every node either test would reach.  A dead child whose negative key is
+    one its own cell lowers has dead siblings at every larger count; they
+    are counted in one step, not built.  At a leaf nothing is raisable, so
+    a live leaf is dominant.  Every emitted monomial is checked against its
+    witness applied to X.
     """
     if not c.simply_laced:
         raise DiagramError("dominant-monomial enumeration is implemented for "
@@ -152,78 +152,79 @@ def enumerate_dominant_below(c: CartanData, i, k: int, r: int,
         raise DiagramError(f"node {i} not in diagram {c.name}")
     X = kr_highest(c, i, k, r)
     cells = _support_box(c, i, k, r)
-    n = len(cells)
+    if budget <= 0:
+        return Enumeration(entries=[], partial=True, visited=0)
+    if not cells:  # the root X, counted and dominant, is the only node
+        return Enumeration(entries=[(X, AWitness())], partial=False, visited=1)
     pos = {key: q for q, (key, _) in enumerate(X.items())}
     steps = [tuple((pos.setdefault((l, p + d), len(pos)), -ae)
                    for (l, d), ae in c.a_row(j)) for j, p in cells]
     keys = list(pos)
     u = dict(X.items())
     expo = [u.get(key, 0) for key in keys]
-    # check[idx]: keys that cell idx-1 touches and no cell from idx on
-    # raises, as (keys that cell idx-1 lowers, the others)
-    check = [((), ())] * (n + 1)
+    # levels[idx]: cell idx's step, then the keys it touches and no later
+    # cell raises, as (keys that cell idx lowers, the others)
+    levels = []
     raised = set()
-    for idx in range(n, 0, -1):
-        st = steps[idx - 1]
-        check[idx] = (tuple(q for q, x in st if q not in raised and x < 0),
-                      tuple(q for q, x in st if q not in raised and x > 0))
+    for st in reversed(steps):
+        levels.append((st, tuple(q for q, x in st if q not in raised and x < 0),
+                       tuple(q for q, x in st if q not in raised and x > 0)))
         raised.update(q for q, x in st if x > 0)
+    levels.reverse()
 
-    counts = [0] * n
+    counts = [0] * len(levels)  # the search stack: the count at each depth
     out = []
-    visited = 0
     partial = False
-
-    def rec(idx):
-        nonlocal visited, partial
-        if idx == n:
-            m = Monomial(dict(zip(keys, expo)))
-            wit = AWitness({cell: v for cell, v in zip(cells, counts) if v})
-            if wit.apply(c, X) != m:
-                raise AssertionError("enumeration witness does not reach its monomial")
-            out.append((m, wit))
-            return
-        st, (lowered, others) = steps[idx], check[idx + 1]
-        for v in range(k + 1):
+    visited = 1  # the root is X itself, counted and dominant
+    depth = v = 0  # v: the next count to try at this depth
+    st, lowered, others = levels[0]
+    last = len(levels) - 1
+    while True:
+        if v <= k:
             if v:
                 for q, x in st:
                     expo[q] += x
-                counts[idx] = v
+                counts[depth] = v
             if visited >= budget:
                 partial = True
                 break
             visited += 1
-            dead = False
             for q in lowered:
-                if expo[q] < 0:
-                    dead = True
-                    break
-            if dead:
-                # every larger count lowers that key further, so it is dead
-                # too: count it as the loop would, up to the budget
-                if visited + k - v > budget:
-                    visited, partial = budget, True
-                else:
-                    visited += k - v
-                break
-            for q in others:
                 if expo[q] < 0:
                     break
             else:
-                rec(idx + 1)
-                if partial:
-                    break
-        v = counts[idx]
+                for q in others:
+                    if expo[q] < 0:
+                        break
+                else:
+                    if depth < last:  # a live child: descend into it
+                        depth, v = depth + 1, 0
+                        st, lowered, others = levels[depth]
+                        continue
+                    m = Monomial(dict(zip(keys, expo)))
+                    wit = AWitness({cell: v for cell, v in zip(cells, counts) if v})
+                    if wit.apply(c, X) != m:
+                        raise AssertionError(
+                            "enumeration witness does not reach its monomial")
+                    out.append((m, wit))
+                v += 1
+                continue
+            # every larger count lowers that key further, so it is dead too:
+            # count it as the loop would, up to the budget
+            if visited + k - v > budget:
+                visited, partial = budget, True
+                break
+            visited += k - v
+        v = counts[depth]  # every count at this depth is done: undo it
         if v:
             for q, x in st:
                 expo[q] -= v * x
-            counts[idx] = 0
-
-    if budget > 0:  # the root is X itself, counted and dominant
-        visited = 1
-        rec(0)
-    else:
-        partial = True
+            counts[depth] = 0
+        depth -= 1
+        if depth < 0:
+            break
+        v = counts[depth] + 1
+        st, lowered, others = levels[depth]
     out.sort(key=lambda ew: ew[0].key)
     return Enumeration(entries=out, partial=partial, visited=visited)
 
@@ -271,9 +272,6 @@ class SmallnessVerdict:
                     "verdict": emp.verdict,
                 },
                 "agree": self.agree}
-
-    def to_json(self) -> dict:
-        return plain_json(self._doc())
 
 
 def no_candidate_entries(enum: Enumeration) -> list:

@@ -11,7 +11,8 @@ def qchar_is_thin(chi: QCharacter) -> bool:
 
 
 def qchar_from_json(data) -> QCharacter:
-    """The character of a ``QCharacter.to_json`` document."""
+    """The character of a ``qchar`` document's ``"qchar"`` object, as
+    ``cli._json_text`` writes a ``QCharacter``'s ``_doc()``."""
     terms = {}
     for entry in data["terms"]:
         m = monomial_from_json(entry["monomial"])

@@ -1,5 +1,7 @@
 """Test-side monomial oracles: the exponent profile, the largest power,
-right negativity, thinness, and a witness read back from its JSON form."""
+right negativity, thinness, a witness read back from its JSON form, and
+the dict-tree JSON converter that ``cli._json_text`` must match byte for
+byte under ``json.dumps(..., indent=2)``."""
 
 from __future__ import annotations
 
@@ -55,3 +57,22 @@ def witness_from_json(data) -> AWitness:
         k = (int(entry["node"]), int(entry["power"]))
         v[k] = v.get(k, 0) + int(entry["count"])
     return AWitness(v)
+
+
+def monomial_to_json(m: Monomial) -> list:
+    return [{"node": i, "power": r, "exponent": e} for (i, r), e in m.items()]
+
+
+def witness_to_json(w: AWitness) -> list:
+    return [{"node": i, "power": r, "count": x} for (i, r), x in w.items()]
+
+
+def plain_json(doc):
+    """A report document with each Monomial and AWitness in its JSON form."""
+    if isinstance(doc, dict):
+        return {k: plain_json(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [plain_json(v) for v in doc]
+    if isinstance(doc, Monomial):
+        return monomial_to_json(doc)
+    return witness_to_json(doc) if isinstance(doc, AWitness) else doc

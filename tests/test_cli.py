@@ -5,6 +5,7 @@ import sys
 
 import pytest
 from _characters import qchar_from_json
+from _monomials import monomial_to_json, plain_json, witness_to_json
 
 from qchar import cli, smallness
 from qchar.cartan import build_diagram
@@ -15,10 +16,7 @@ from qchar.monomials import (
     Monomial,
     kr_highest,
     monomial_from_json,
-    monomial_to_json,
     parse_monomial,
-    plain_json,
-    witness_to_json,
 )
 from qchar.smallness import Budgets, check_small_empirical, enumerate_dominant_below
 
@@ -420,7 +418,7 @@ def test_json_text_matches_json_dumps(capsys):
     reports = [consistent, consistent.qchar, not_special, not_special.chain[0],
                inconclusive, cell, hand, hand.qchar]
     for obj in reports:
-        assert _json_text(obj._doc()) == json.dumps(obj.to_json(), indent=2)
+        assert _json_text(obj._doc()) == json.dumps(plain_json(obj._doc()), indent=2)
     mixed = {"m": [Monomial.one(), odd, [odd, {"w": AWitness({(2, -4): 11})}]],
              "w": AWitness({}), "deep": [[[odd]]]}
     assert _json_text(mixed) == json.dumps(plain_json(mixed), indent=2)

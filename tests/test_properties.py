@@ -67,7 +67,7 @@ def test_repeated_runs_identical():
     m = parse_monomial("1_3 1_5 2_0")
     t1 = generate_process(c, m)
     t2 = generate_process(c, m)
-    assert t1.to_json() == t2.to_json()
+    assert t1 == t2
     r1 = fm_algorithm(c, m)
     r2 = fm_algorithm(c, m)
-    assert r1.to_json() == r2.to_json()
+    assert r1 == r2

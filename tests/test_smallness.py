@@ -1,10 +1,12 @@
 import functools
+import json
 
 import pytest
 from _characters import qchar_is_thin
 from _enum_oracle import box_dominants, check_type_A_form
 
 from qchar.cartan import DiagramError, build_diagram, parse_diagram
+from qchar.cli import _json_text
 from qchar.expansion import NOT_SPECIAL, SPECIAL_FM_CONSISTENT, fm_algorithm
 from qchar.monomials import Monomial, a_monomial, kr_highest, parse_monomial
 from qchar.smallness import (
@@ -203,6 +205,14 @@ def test_enumerate_budget_edges(name, rank, i, k, budget, expected):
     assert (len(enum.entries), enum.visited, enum.partial) == expected
 
 
+@pytest.mark.parametrize("name, rank, i, k", [("A", 1, 1, 1100), ("D", 4, 1, 300)])
+def test_deep_box_ends_at_its_budget(name, rank, i, k):
+    # boxes of about 1,100 and 1,200 cells, deeper than the recursion limit:
+    # the search runs one loop over its depth, so it stops at the budget
+    enum = enumerate_dominant_below(build_diagram(name, rank), i, k, 0, budget=5_000)
+    assert enum.partial and enum.visited == 5_000 and enum.entries
+
+
 def test_enumerate_workload_visits_are_pinned():
     # every node of D4, D5 and E6 at k = 4, 5: the benchmark's enumerate cells
     total = sum(_complete(name, rank, i, k).visited
@@ -284,7 +294,7 @@ def test_check_small_empirical_small_cell():
 
 def test_verdict_json_shape():
     cell = check_small_empirical(A3, 2, 3, 2)
-    doc = cell.to_json()
+    doc = json.loads(_json_text(cell._doc()))
     assert doc["theoretical"] == NOT_SMALL
     assert doc["empirical"]["verdict"] == NOT_SMALL
     assert doc["empirical"]["dominant_count"] == len(cell.empirical.entries)

@@ -38,7 +38,6 @@ PUBLIC = [
     "graph_distance",
     "kr_highest",
     "monomial_from_json",
-    "monomial_to_json",
     "parse_diagram",
     "parse_monomial",
     "sweep",
