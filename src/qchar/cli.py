@@ -158,10 +158,10 @@ def _parse_diagram_list(spec):
         if ".." in chunk:
             lo, hi = (parse_diagram(end) for end in chunk.split("..", 1))
             # a finite diagram is named series + rank and has rank nodes
-            if lo.name[0] != hi.name[0] or lo.affine or hi.affine:
+            ranks = range(len(lo.nodes), len(hi.nodes) + 1)
+            if lo.name[0] != hi.name[0] or lo.affine or hi.affine or not ranks:
                 raise DiagramError(f"bad diagram range {chunk!r}")
-            out += (build_diagram(lo.name[0], rank)
-                    for rank in range(len(lo.nodes), len(hi.nodes) + 1))
+            out += (build_diagram(lo.name[0], rank) for rank in ranks)
         else:
             out.append(parse_diagram(chunk))
     return out

@@ -434,8 +434,7 @@ def _check_start(c: CartanData, m: Monomial, what: str):
 def generate_process(c: CartanData, m: Monomial,
                      budget: int = DEFAULT_PROCESS_STEPS,
                      stop_on_dominant: bool = False,
-                     *, _expander: _Expander | None = None,
-                     _dominant_only: bool = False) -> GenerationTrace:
+                     *, _expander: _Expander | None = None) -> GenerationTrace:
     """Closure of {m} under admissible single-node expansions.
 
     A generated monomial mu may be expanded at node i when it is i-dominant
@@ -459,14 +458,15 @@ def generate_process(c: CartanData, m: Monomial,
     budget and ``stop_on_dominant`` stop the run at the same pop as a heap
     would.  The chains are built at the end, from the links, with one
     ``Monomial`` per generated monomial, whose key ``_Expander.read``
-    joins again from its per-node caches.  ``_expander`` lets
-    ``fm_algorithm`` hand over the expansions its closure already made,
-    and ``_dominant_only`` keeps only the chains it reads: those of the
-    start, of every generated dominant monomial and of their ancestors.
+    joins again from its per-node caches.  A full run keeps a chain for
+    every generated monomial; a run that stops on dominant keeps only the
+    chains a certificate reads: those of the start, of every generated
+    dominant monomial and of their ancestors.  ``_expander`` lets
+    ``fm_algorithm`` hand over the expansions its closure already made.
     """
     _check_start(c, m, "generation")
     return _rerun_when_widened(_generate, c, m, budget, stop_on_dominant,
-                               _dominant_only, _expander or _Expander(c))
+                               _expander or _Expander(c))
 
 
 def _in_level_order(levels, entry):
@@ -485,15 +485,14 @@ def _in_level_order(levels, entry):
         total += 1
 
 
-def _generate(c, m, budget, stop_on_dominant, dominant_only, ex):
+def _generate(c, m, budget, stop_on_dominant, ex):
     """The run of ``generate_process`` on the packed layout of ``ex``; it
     raises ``_FieldsWidened`` when ``ex`` widened its fields mid-run."""
     x0 = ex.start(m)
     links = {x0: None}  # generated monomial -> (packed root, node) of its step
     canonical = {x0: x0}  # one tuple per monomial, shared by links and covered
     covered = [set() for _ in c.nodes]
-    dominant = []  # generated dominant monomials but the start
-    check = stop_on_dominant or dominant_only
+    dominant = []  # generated dominant monomials but the start, when stopping
     read = ex.read
     levels = defaultdict(list)
     levels[0].append(x0)
@@ -525,16 +524,16 @@ def _generate(c, m, budget, stop_on_dominant, dominant_only, ex):
                 links[nu] = link
                 levels[total + n].append(nu)
                 # a negative node int has a negative top exponent
-                if check and min(nu) >= 0 and read(nu)[1]:
+                if stop_on_dominant and min(nu) >= 0 and read(nu)[1]:
                     dominant.append(nu)
-                    stop = stop or stop_on_dominant
+                    stop = True
             if stop:
                 break
         if stop:
             break
     found = {x0: m}  # packed -> Monomial, for every monomial with a chain
     chains = {m: ()}
-    for last in dominant if dominant_only else links:
+    for last in dominant if stop_on_dominant else links:
         # links run in generation order, so a root is found before its results
         path = []
         while last not in found:
@@ -606,13 +605,13 @@ def fm_algorithm(c: CartanData, m: Monomial,
     one it generates.  Every other inconclusive exit (a spent budget or a
     non-i-dominant monomial left with a positive coefficient) asks the
     generation process for a second dominant monomial too, and reports
-    Inconclusive only if there is none.  The certifying process runs
-    through ``generate_process`` with ``_dominant_only``, so it builds
-    ``Monomial``s and chains only for its dominant monomials and their
-    ancestors; the witness's chain is the one the full process would give.
-    ``_expander`` lets ``check_small_empirical`` share one engine across a
-    cell's closures.
+    Inconclusive only if there is none.  The certifying process stops on
+    dominant, so it builds ``Monomial``s and chains only for its dominant
+    monomials and their ancestors; the witness's chain is the one a run
+    that keeps every chain would give.  ``_expander`` lets
+    ``check_small_empirical`` share one engine across a cell's closures.
     """
+    _check_start(c, m, "the closure")
     ex = _expander or _Expander(c)
     out = _rerun_when_widened(_fm_closure, c, m, budget,
                               order_within_level, ex)
@@ -621,7 +620,7 @@ def fm_algorithm(c: CartanData, m: Monomial,
     # the closure's state is released before the process runs
     forced, steps, diagnostic = out
     trace = generate_process(c, m, budget=process_budget, stop_on_dominant=True,
-                             _expander=ex, _dominant_only=True)
+                             _expander=ex)
     doms = trace.dominant_monomials()
     if not doms:
         return SpecialnessReport(INCONCLUSIVE, m, steps=steps,
@@ -643,7 +642,6 @@ def _fm_closure(c, m, budget, order_within_level, ex):
     monomial's row leaves ``state`` when it settles: its multiplicity is
     final then, as every root above it has settled, and it is no later
     result, as results lie strictly below their roots."""
-    _check_start(c, m, "the closure")
     x0 = ex.start(m)
     width = len(c.nodes) + 1
     # unsettled monomial -> [multiplicity, its share at each node's slot]

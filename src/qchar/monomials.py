@@ -133,17 +133,16 @@ def kr_highest(c: CartanData, i, k: int, r: int) -> Monomial:
 class AWitness:
     """Exponent table v >= 0 certifying m' = m * prod A_{i,q^r}^{-v_{i,r}}."""
 
-    __slots__ = ("v", "key")
+    __slots__ = ("key",)
 
     def __init__(self, v=None):
         vv = {k: x for k, x in (v or {}).items() if x}
         if any(x < 0 for x in vv.values()):
             raise ValueError("witness entries must be nonnegative")
-        self.v = vv
         self.key = tuple(sorted(vv.items()))
 
     def total(self) -> int:
-        return sum(self.v.values())
+        return sum(x for _, x in self.key)
 
     def items(self):
         return self.key

@@ -285,9 +285,10 @@ def no_candidate_entries(enum: Enumeration) -> list:
     """
     if enum.partial:
         return []
-    return [m for m, w in enum.entries if w.v and not any(
-        d != w and all(d.v.get(cell, 0) >= n for cell, n in w.items())
-        for _, d in enum.entries)]
+    tables = [dict(w.items()) for _, w in enum.entries]
+    return [m for (m, w), t in zip(enum.entries, tables) if t and not any(
+        d != t and all(d.get(cell, 0) >= n for cell, n in w.items())
+        for d in tables)]
 
 
 def check_small_empirical(c: CartanData, i, k: int, r: int,
@@ -386,16 +387,17 @@ def _replay(name, spec, i, k, r, start, reach, budgets):
     listed = [parse_monomial(t) for t in reach]
     w = divide_as_a_product(c, m, kr_highest(c, i, k, r))
     trace = generate_process(c, m, budget=budgets.process_steps)
-    rep = fm_algorithm(c, m, budgets.fm_steps, budgets.process_steps)
     cell = check_small_empirical(c, i, k, r, budgets)
+    rep = cell.empirical.reports.get(m)  # None if the cell cleared the start
+    verdict, witness = (rep.verdict, rep.witness) if rep else (None, None)
     checks = [
         (m.is_dominant(), f"start {format_monomial(m)} is dominant"),
         (w is not None and w.total() == 1,
          f"start sits one root step below the level-{k} string at node {i}"),
         *((t in trace, f"process generates {format_monomial(t)}") for t in listed),
         (trace.replay(c), "generation chains replay"),
-        (rep.verdict == NOT_SPECIAL, "closure flags the start not special"),
-        (rep.witness == listed[-1], f"witness is {format_monomial(listed[-1])}"),
+        (verdict == NOT_SPECIAL, "closure flags the start not special"),
+        (witness == listed[-1], f"witness is {format_monomial(listed[-1])}"),
         (cell.empirical.verdict == NOT_SMALL, "empirical verdict NotSmall"),
         (cell.agree, "closed form agrees"),
     ]

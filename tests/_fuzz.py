@@ -79,7 +79,7 @@ def run_partial_order_axioms(cases=1500, seed=202, diagrams=FUZZ_DIAGRAMS):
         # transitive with additive witnesses
         both = divide_as_a_product(c, m2, m0)
         assert both is not None
-        combined = dict(w1.v)
+        combined = dict(w1.items())
         for key, x in w2.items():
             combined[key] = combined.get(key, 0) + x
         assert both == AWitness(combined)

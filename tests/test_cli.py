@@ -124,7 +124,9 @@ def test_parse_errors_exit_2(capsys):
     (["qchar", "--g", "A2", "1_0 5_3"], "node 5 not in diagram A2"),
     (["qchar", "--g", "D4", "9_0"], "node 9 not in diagram D4"),
     (["sweep", "--g", "A1", "--kmax", "0"], "kmax must be >= 1"),
-    (["sweep", "--g", "A4..A1", "--kmax", "2"], "no diagrams to sweep"),
+    # a reversed range is refused, not swept as no diagrams
+    (["sweep", "--g", "A4..A1", "--kmax", "2"], "bad diagram range 'A4..A1'"),
+    (["sweep", "--g", "A3..A1,A1", "--kmax", "1"], "bad diagram range 'A3..A1'"),
 ])
 def test_bad_input_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -228,6 +230,9 @@ def test_sweep_small_range(capsys):
     assert code == 0
     assert out.splitlines()[-1] == "all cells agree"
     assert "A1 i=1 k=1" in out
+    code, out, _ = run(capsys, "sweep", "--g", "A1..A1", "--kmax", "1")
+    assert (code, out.splitlines()[0]) == (
+        0, "A1 i=1 k=1: theoretical=Small empirical=Small agree=yes")
 
 
 def test_undetermined_sweep_exit_4(capsys):
@@ -348,6 +353,26 @@ def test_verify_remarks_failing_row_exit_3(capsys, monkeypatch, reach, failed):
     assert all(line.startswith(("  PASS ", "  FAIL ")) for line in details)
     assert [line for line in details if "FAIL" in line] == [f"  {failed}"]
     assert len(details) == 7 + len(reach)
+
+
+def test_verify_remarks_row_whose_start_the_cell_clears(capsys, monkeypatch):
+    # 2_2 is a no-candidate entry of its cell, which runs no closure on it,
+    # so the row has no closure report and fails both closure checks
+    row = ("cleared", "A3", 2, 3, 2, "2_2", ("2_2",))
+    monkeypatch.setattr(smallness, "_REMARKS", (row,))
+    code, out, _ = run(capsys, "verify-remarks")
+    assert code == 3
+    assert out.splitlines() == [
+        "FAIL cleared",
+        "  PASS start 2_2 is dominant",
+        "  FAIL start sits one root step below the level-3 string at node 2",
+        "  PASS process generates 2_2",
+        "  PASS generation chains replay",
+        "  FAIL closure flags the start not special",
+        "  FAIL witness is 2_2",
+        "  PASS empirical verdict NotSmall",
+        "  PASS closed form agrees",
+        "0/1 replays passed"]
 
 
 def test_module_entry_point_subprocess():

@@ -305,6 +305,13 @@ def test_process_matches_its_definition(series, rank, affine):
                 trace = generate_process(c, m, budget, stop_on_dominant)
                 chains, steps, partial, blocked = _reference_process(
                     c, m, budget, stop_on_dominant)
+                if stop_on_dominant:
+                    # a stopping run keeps the start, its dominant monomials
+                    # and their ancestors
+                    doms = [nu for nu in chains if nu != m and nu.is_dominant()]
+                    kept = {m, *doms, *(step.root for nu in doms
+                                        for step in chains[nu])}
+                    chains = {nu: chains[nu] for nu in kept}
                 assert trace.chains == chains
                 assert (trace.steps, trace.partial) == (steps, partial)
                 seen["partial"] += partial
@@ -327,17 +334,17 @@ def test_process_blocked_monomial_still_blocks():
                    for chain in chains.values() for step in chain)
 
 
-def test_certifying_run_matches_the_full_process():
-    # fm_algorithm's certifying process builds chains only for the start,
-    # the dominant results and their ancestors.  Its trace must be the full
-    # process's trace cut to those monomials, and fm_algorithm's verdict,
-    # witness and chain must follow from the full trace: the forced
-    # monomial if the process generates it, else the least dominant one,
-    # and Inconclusive exactly when the trace has no dominant monomial.
-    # Closure budgets run from 1 to 30.  The first budget at which each
-    # closure outcome shows runs every process budget up to 30 and 400, so
-    # that the process stops before, at and after its first dominant
-    # monomial; a later budget with that outcome runs at its own value.
+def test_certifying_run_follows_its_stopping_trace():
+    # A process that stops on dominant keeps chains only for the start, the
+    # dominant results and their ancestors, and they must replay.
+    # fm_algorithm's verdict, witness and chain must follow from that
+    # trace: the forced monomial if the process generates it, else the
+    # least dominant one, and Inconclusive exactly when the trace has no
+    # dominant monomial.  Closure budgets run from 1 to 30.  The first
+    # budget at which each closure outcome shows runs every process budget
+    # up to 30 and 400, so that the process stops before, at and after its
+    # first dominant monomial; a later budget with that outcome runs at its
+    # own value.
     starts = [(A3, parse_monomial("1_1 3_1 2_4")),
               (D4, parse_monomial("1_3 1_5 2_0"))]
     for c in (A3, build_diagram("B", 3), build_diagram("G", 2), D4, A2_AFFINE):
@@ -352,33 +359,32 @@ def test_certifying_run_matches_the_full_process():
             starts.append((c, Monomial(e)))
     seen = set()
     for c, m in starts:
-        ex, ref = _Expander(c), _Expander(c)  # the runs under test, the reference
-        full = {}
+        ex = _Expander(c)
+        stopping = {}
         for process_budget in [*range(1, 31), 400]:
-            trace = full[process_budget] = generate_process(
-                c, m, process_budget, stop_on_dominant=True, _expander=ref)
-            kept = generate_process(c, m, process_budget, stop_on_dominant=True,
-                                    _expander=ex, _dominant_only=True)
+            trace = stopping[process_budget] = generate_process(
+                c, m, process_budget, stop_on_dominant=True, _expander=ex)
             doms = trace.dominant_monomials()
-            wanted = {m, *doms, *(step.root for mu in doms
-                                  for step in trace.chains[mu])}
-            assert kept.chains == {mu: trace.chains[mu] for mu in wanted}
-            assert (kept.steps, kept.partial) == (trace.steps, trace.partial)
+            roots = {step.root for mu in doms for step in trace.chains[mu]}
+            # nothing else is kept, and every root on a kept chain is kept
+            assert set(trace.chains) <= {m, *doms, *roots}
+            assert roots <= set(trace.chains)
+            assert trace.replay(c)
         outcomes = set()
         for budget in range(1, 31):
             out = expansion._rerun_when_widened(
-                expansion._fm_closure, c, m, budget, None, ref)
+                expansion._fm_closure, c, m, budget, None, ex)
             if isinstance(out, expansion.SpecialnessReport):
                 rep = fm_algorithm(c, m, budget, 400, _expander=ex)
                 assert rep == out
                 seen.add((rep.verdict, None))
                 continue
             forced = out[0]
-            process_budgets = full if forced not in outcomes else (budget,)
+            process_budgets = stopping if forced not in outcomes else (budget,)
             outcomes.add(forced)
             for process_budget in process_budgets:
                 rep = fm_algorithm(c, m, budget, process_budget, _expander=ex)
-                trace = full[process_budget]
+                trace = stopping[process_budget]
                 doms = trace.dominant_monomials()
                 if not doms:
                     assert (rep.verdict, rep.witness, rep.chain) == (

@@ -363,6 +363,11 @@ def test_sweep_rejects_kmax_below_one():
             sweep([A1], kmax)
 
 
+def test_sweep_rejects_an_empty_diagram_list():
+    with pytest.raises(ValueError, match="no diagrams to sweep"):
+        sweep([], 1)
+
+
 def test_sweep_small_block():
     cells = sweep([A1, A2], 2)
     assert len(cells) == (1 + 2) * 2
