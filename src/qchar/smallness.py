@@ -231,41 +231,54 @@ def enumerate_dominant_below(c: CartanData, i, k: int, r: int,
 
 @dataclass
 class EmpiricalRecord:
-    """Character-level evidence for one (diagram, node, level) cell."""
+    """Character-level evidence for one (diagram, node, level) cell: what
+    the verdict and the output read, and no character.  ``not_special``
+    holds the certifying ``SpecialnessReport``s in entry order, each with
+    its entry as ``subject``; a consistent closure leaves nothing.  The
+    verdict is NotSmall on a certificate, Small on a complete enumeration
+    with nothing undetermined, and Undetermined otherwise."""
 
     entries: list = field(default_factory=list)   # [(Monomial, AWitness)]
-    reports: dict = field(default_factory=dict)   # Monomial -> SpecialnessReport
-    not_special: list = field(default_factory=list)
-    undetermined: list = field(default_factory=list)
+    not_special: list = field(default_factory=list)  # [SpecialnessReport]
+    undetermined: list = field(default_factory=list)  # [Monomial]
     no_candidate: list = field(default_factory=list)  # special without a closure
     partial_enumeration: bool = False
-    verdict: str = UNDETERMINED
+
+    @property
+    def verdict(self) -> str:
+        if self.not_special:
+            return NOT_SMALL
+        if self.partial_enumeration or self.undetermined:
+            return UNDETERMINED
+        return SMALL
 
 
 @dataclass
 class SmallnessVerdict:
+    """The closed-form verdict of one cell beside its empirical evidence."""
+
     diagram: str
     node: int
     k: int
     r: int
     theoretical: str
     empirical: EmpiricalRecord
-    agree: bool
+
+    @property
+    def agree(self) -> bool:
+        return self.empirical.verdict == self.theoretical
 
     def _doc(self) -> dict:
         emp = self.empirical
-        witnesses = []
-        for m in emp.not_special:
-            rep = emp.reports[m]
-            witnesses.append({"monomial": m, "witness": rep.witness,
-                              "chain": [s._doc() for s in rep.chain]})
         return {"diagram": self.diagram, "node": self.node, "k": self.k,
                 "r": self.r, "theoretical": self.theoretical,
                 "empirical": {
                     "dominant_count": len(emp.entries),
                     "dominant": [{"monomial": m, "witness_table": w}
                                  for m, w in emp.entries],
-                    "witnesses": witnesses,
+                    "witnesses": [{"monomial": rep.subject, "witness": rep.witness,
+                                   "chain": [s._doc() for s in rep.chain]}
+                                  for rep in emp.not_special],
                     "undetermined": emp.undetermined,
                     "no_candidate": emp.no_candidate,
                     "partial_enumeration": emp.partial_enumeration,
@@ -295,13 +308,11 @@ def check_small_empirical(c: CartanData, i, k: int, r: int,
                           budgets: Budgets = Budgets()) -> SmallnessVerdict:
     """Verify the smallness verdict through characters.
 
-    Enumerates the dominant monomials below the string, runs the closure on
-    each, and combines: a certified second dominant monomial anywhere means
-    NotSmall; all closures consistent (and the enumeration complete) means
-    Small; anything unresolved leaves the cell Undetermined.
-
-    Entries that ``no_candidate_entries`` clears get no closure and no
-    report.  The closures of one cell share one expansion engine.
+    Enumerates the dominant monomials below the string and runs the
+    closure on each entry that ``no_candidate_entries`` does not clear;
+    ``EmpiricalRecord.verdict`` combines the outcomes.  Only a certifying
+    report is kept, so no character outlives the reading of its verdict.
+    The closures of one cell share one expansion engine.
     """
     theoretical = classify(c, i, k)
     enum = enumerate_dominant_below(c, i, k, r, budget=budgets.enum_nodes)
@@ -316,21 +327,13 @@ def check_small_empirical(c: CartanData, i, k: int, r: int,
             continue
         rep = fm_algorithm(c, m, budget=budgets.fm_steps,
                            process_budget=budgets.process_steps, _expander=ex)
-        record.reports[m] = rep
         if rep.verdict == NOT_SPECIAL:
-            record.not_special.append(m)
+            record.not_special.append(rep)
         elif rep.verdict == INCONCLUSIVE:
             record.undetermined.append(m)
-
-    if record.not_special:
-        record.verdict = NOT_SMALL
-    elif not record.undetermined and not record.partial_enumeration:
-        record.verdict = SMALL
-    else:
-        record.verdict = UNDETERMINED
+        del rep  # a consistent closure's character goes before the next closure
     return SmallnessVerdict(diagram=c.name, node=i, k=k, r=r,
-                            theoretical=theoretical, empirical=record,
-                            agree=(record.verdict == theoretical))
+                            theoretical=theoretical, empirical=record)
 
 
 def sweep(diagrams, kmax: int, r: int = 0,
@@ -340,12 +343,8 @@ def sweep(diagrams, kmax: int, r: int = 0,
         raise ValueError("kmax must be >= 1")
     if not diagrams:
         raise ValueError("no diagrams to sweep")
-    verdicts = []
-    for c in diagrams:
-        for i in c.nodes:
-            for k in range(1, kmax + 1):
-                verdicts.append(check_small_empirical(c, i, k, r, budgets))
-    return verdicts
+    return [check_small_empirical(c, i, k, r, budgets)
+            for c in diagrams for i in c.nodes for k in range(1, kmax + 1)]
 
 
 # --- built-in counterexample replays --------------------------------------
@@ -388,15 +387,16 @@ def _replay(name, spec, i, k, r, start, reach, budgets):
     w = divide_as_a_product(c, m, kr_highest(c, i, k, r))
     trace = generate_process(c, m, budget=budgets.process_steps)
     cell = check_small_empirical(c, i, k, r, budgets)
-    rep = cell.empirical.reports.get(m)  # None if the cell cleared the start
-    verdict, witness = (rep.verdict, rep.witness) if rep else (None, None)
+    # None if the cell cleared the start or its closure was inconclusive
+    witness = next((rep.witness for rep in cell.empirical.not_special
+                    if rep.subject == m), None)
     checks = [
         (m.is_dominant(), f"start {format_monomial(m)} is dominant"),
         (w is not None and w.total() == 1,
          f"start sits one root step below the level-{k} string at node {i}"),
         *((t in trace, f"process generates {format_monomial(t)}") for t in listed),
         (trace.replay(c), "generation chains replay"),
-        (verdict == NOT_SPECIAL, "closure flags the start not special"),
+        (witness is not None, "closure flags the start not special"),
         (witness == listed[-1], f"witness is {format_monomial(listed[-1])}"),
         (cell.empirical.verdict == NOT_SMALL, "empirical verdict NotSmall"),
         (cell.agree, "closed form agrees"),

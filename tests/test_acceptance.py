@@ -148,29 +148,34 @@ def test_criterion_4_triangle_cycle():
     _report(4, "triangle cycle at level 3", t0)
 
 
-def test_criterion_5_classification_sweep():
+def test_criterion_5_classification_sweep(closures):
     t0 = time.perf_counter()
     diagrams = [build_diagram("A", n) for n in (1, 2, 3, 4)]
     diagrams.append(build_diagram("D", 4))
     cells = sweep(diagrams, 4)
     assert len(cells) == (1 + 2 + 3 + 4 + 4) * 4
+    closed = iter(closures)  # the sweep's closures, cell after cell
     for cell in cells:
         emp = cell.empirical
         assert cell.agree, (cell.diagram, cell.node, cell.k)
+        # one closure per entry the cell did not clear, in entry order
+        opened = [m for m, _ in emp.entries if m not in emp.no_candidate]
+        reps = list(itertools.islice(closed, len(opened)))
+        assert [r.subject for r in reps] == opened
         assert not emp.partial_enumeration
         if cell.theoretical == NOT_SMALL:
             assert emp.not_special
             # every flagged module carries a chain that replays
-            mny = emp.not_special[0]
-            rep = emp.reports[mny]
+            rep = emp.not_special[0]
+            mny = rep.subject
             assert rep.witness.is_dominant() and rep.witness != mny
             replay = GenerationTrace(start=mny, chains={rep.witness: rep.chain})
             diagram = next(c for c in diagrams if c.name == cell.diagram)
             assert replay.replay(diagram)
         else:
             assert not emp.undetermined
-            assert all(r.verdict == SPECIAL_FM_CONSISTENT
-                       for r in emp.reports.values())
+            assert all(r.verdict == SPECIAL_FM_CONSISTENT for r in reps)
+    assert next(closed, None) is None
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0, f"criterion 5 took {elapsed:.2f}s"
     _report(5, "classification sweep A1-A4, D4, k<=4", t0)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 
@@ -7,13 +8,20 @@ from _enum_oracle import box_dominants, check_type_A_form
 
 from qchar.cartan import DiagramError, build_diagram, parse_diagram
 from qchar.cli import _json_text
-from qchar.expansion import NOT_SPECIAL, SPECIAL_FM_CONSISTENT, fm_algorithm
+from qchar.expansion import (
+    NOT_SPECIAL,
+    SPECIAL_FM_CONSISTENT,
+    QCharacter,
+    fm_algorithm,
+)
 from qchar.monomials import Monomial, a_monomial, kr_highest, parse_monomial
 from qchar.smallness import (
     NOT_SMALL,
     SMALL,
     UNDETERMINED,
     Budgets,
+    EmpiricalRecord,
+    SmallnessVerdict,
     check_small_empirical,
     classify,
     enumerate_dominant_below,
@@ -267,29 +275,84 @@ def test_type_a_gap_condition():
     assert not check_type_A_form(A2, fake2, 3)
 
 
-def test_check_small_empirical_counter_cell():
+def test_check_small_empirical_counter_cell(closures):
     cell = check_small_empirical(A3, 2, 3, 2)
     assert cell.theoretical == NOT_SMALL
     assert cell.empirical.verdict == NOT_SMALL
     assert cell.agree
     mp = parse_monomial("1_1 3_1 2_4")
-    rep = cell.empirical.reports[mp]
-    assert rep.verdict == NOT_SPECIAL
+    [rep] = cell.empirical.not_special
+    assert rep.subject == mp and rep.verdict == NOT_SPECIAL
     assert rep.witness == parse_monomial("2_2")
     # 2_2 has no other entry below it, so it is cleared without a closure
     assert cell.empirical.no_candidate == [parse_monomial("2_2")]
     assert cell.empirical.no_candidate == no_candidate_entries(
         enumerate_dominant_below(A3, 2, 3, 2))
-    assert set(cell.empirical.reports) == (
-        {m for m, _ in cell.empirical.entries} - {parse_monomial("2_2")})
+    assert [r.subject for r in closures] == [
+        m for m, _ in cell.empirical.entries if m != parse_monomial("2_2")]
+    assert [r for r in closures if r.verdict == NOT_SPECIAL] == [rep]
 
 
-def test_check_small_empirical_small_cell():
+def test_check_small_empirical_small_cell(closures):
     cell = check_small_empirical(D4, 1, 3, 0)
     assert cell.theoretical == SMALL and cell.empirical.verdict == SMALL
     assert cell.agree and not cell.empirical.undetermined
-    for rep in cell.empirical.reports.values():
+    assert closures and not cell.empirical.not_special
+    for rep in closures:
         assert rep.verdict == SPECIAL_FM_CONSISTENT
+
+
+def test_verdict_follows_its_evidence():
+    # the record's verdict is read off its fields, however they were filled
+    enum = enumerate_dominant_below(A3, 2, 3, 2)
+    cert = fm_algorithm(A3, parse_monomial("1_1 3_1 2_4"))
+    assert cert.verdict == NOT_SPECIAL
+    X = kr_highest(A3, 2, 3, 2)
+    rows = [
+        (dict(not_special=[cert], undetermined=[X], partial_enumeration=True),
+         NOT_SMALL),
+        (dict(), SMALL),
+        (dict(undetermined=[X]), UNDETERMINED),
+        (dict(partial_enumeration=True), UNDETERMINED),
+    ]
+    for fields, verdict in rows:
+        record = EmpiricalRecord(entries=enum.entries, **fields)
+        assert record.verdict == verdict, fields
+        for i in (1, 2):  # a Small and a NotSmall closed form
+            theoretical = classify(A3, i, 3)
+            cell = SmallnessVerdict("A3", i, 3, 2, theoretical, record)
+            assert cell.agree == (verdict == theoretical)
+    assert {classify(A3, i, 3) for i in (1, 2)} == {SMALL, NOT_SMALL}
+
+
+def _reachable(obj, seen=None):
+    """Every object reachable from obj through dataclass fields, lists,
+    tuples and dicts (keys and values)."""
+    seen = {} if seen is None else seen
+    if id(obj) in seen:
+        return seen
+    seen[id(obj)] = obj
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        parts = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    elif isinstance(obj, (list, tuple)):
+        parts = obj
+    elif isinstance(obj, dict):
+        parts = [*obj.keys(), *obj.values()]
+    else:
+        parts = ()
+    for part in parts:
+        _reachable(part, seen)
+    return seen
+
+
+def test_finished_cell_holds_no_character(closures):
+    cell = check_small_empirical(D4, 2, 3, 0)
+    # the cell ran consistent closures, each with its character
+    assert len(closures) == 9 and cell.empirical.not_special
+    consistent = [r for r in closures if r.verdict == SPECIAL_FM_CONSISTENT]
+    assert consistent and all(r.qchar is not None for r in consistent)
+    held = _reachable(cell).values()
+    assert not any(isinstance(obj, QCharacter) for obj in held)
 
 
 def test_verdict_json_shape():
@@ -336,7 +399,7 @@ def test_no_candidate_entries_not_refuted_on_affine():
     assert cleared == 24
 
 
-def test_string_keeps_its_closure():
+def test_string_keeps_its_closure(closures):
     # the only entry of a level-1 cell has no candidate, but it is X itself
     c = build_diagram("A", 2, affine=True)
     cell = check_small_empirical(c, 1, 1, 0, Budgets(fm_steps=400, process_steps=400))
@@ -344,17 +407,17 @@ def test_string_keeps_its_closure():
     assert cell.empirical.verdict == UNDETERMINED
     assert cell.empirical.undetermined == [X]
     assert cell.empirical.no_candidate == []
-    assert list(cell.empirical.reports) == [X]
+    assert [r.subject for r in closures] == [X]
 
 
-def test_partial_enumeration_clears_nothing():
+def test_partial_enumeration_clears_nothing(closures):
     # complete, the two listed entries would clear the not-special one
     cell = check_small_empirical(A3, 2, 3, 0, Budgets(enum_nodes=10))
     emp = cell.empirical
     assert emp.partial_enumeration and emp.verdict == NOT_SMALL
     assert len(emp.entries) == 2 and emp.no_candidate == []
-    assert set(emp.reports) == {m for m, _ in emp.entries}
-    assert emp.not_special == [parse_monomial("1_-1 2_2 3_-1")]
+    assert [r.subject for r in closures] == [m for m, _ in emp.entries]
+    assert [r.subject for r in emp.not_special] == [parse_monomial("1_-1 2_2 3_-1")]
 
 
 def test_sweep_rejects_kmax_below_one():
