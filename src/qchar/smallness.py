@@ -31,14 +31,13 @@ from .expansion import (
     DEFAULT_PROCESS_STEPS,
     INCONCLUSIVE,
     NOT_SPECIAL,
+    GenerationTrace,
     _Expander,
     fm_algorithm,
-    generate_process,
 )
 from .monomials import (
     AWitness,
     Monomial,
-    divide_as_a_product,
     format_monomial,
     kr_highest,
     parse_monomial,
@@ -357,8 +356,7 @@ class ReplayResult:
 
 
 # name, diagram, node i, level k, base power r, start one root step below
-# the string, monomials the generation process must reach (the last one is
-# the closure's witness)
+# the string, monomials the start's certifying chain passes (witness last)
 _REMARKS = (
     ("sl4-interior-string", "A3", 2, 3, 2, "1_1 3_1 2_4",
      ("1_3^-1 2_2^2 2_4 3_3^-1", "2_2")),
@@ -373,10 +371,12 @@ _REMARKS = (
 def _replay(name, spec, i, k, r, start, reach, budgets):
     """Replay one ``_REMARKS`` row: the level-k string at node i is not small.
 
-    Simple modules of an affine diagram's quantum affinization are infinite
-    dimensional, so closures stop only at their step caps; an affine row
-    caps its budgets at 400, well above what its listed monomials and its
-    witness need.
+    Each line but the start's dominance and the closed form reads the one
+    cell the row runs: the start's entry gives its witness table, and its
+    certificate's chain must pass each listed monomial and replay apart
+    from the engine; a start without one reaches only itself.  An affine
+    row caps budgets at 400: its closures stop only at their caps (its
+    simple modules are infinite dimensional), and its chain needs far less.
     """
     c = parse_diagram(spec)
     if c.affine:
@@ -384,17 +384,17 @@ def _replay(name, spec, i, k, r, start, reach, budgets):
                           min(budgets.process_steps, 400), budgets.enum_nodes)
     m = parse_monomial(start)
     listed = [parse_monomial(t) for t in reach]
-    w = divide_as_a_product(c, m, kr_highest(c, i, k, r))
-    trace = generate_process(c, m, budget=budgets.process_steps)
     cell = check_small_empirical(c, i, k, r, budgets)
-    # None if the cell cleared the start or its closure was inconclusive
-    witness = next((rep.witness for rep in cell.empirical.not_special
-                    if rep.subject == m), None)
+    w = next((w for e, w in cell.empirical.entries if e == m), None)
+    rep = next((p for p in cell.empirical.not_special if p.subject == m), None)
+    witness, chain = (rep.witness, rep.chain) if rep else (None, ())
+    trace = GenerationTrace(m, {m: (), witness: chain} if rep else {m: ()})
+    passed = {m, *(s.result for s in chain)}
     checks = [
         (m.is_dominant(), f"start {format_monomial(m)} is dominant"),
         (w is not None and w.total() == 1,
          f"start sits one root step below the level-{k} string at node {i}"),
-        *((t in trace, f"process generates {format_monomial(t)}") for t in listed),
+        *((t in passed, f"process generates {format_monomial(t)}") for t in listed),
         (trace.replay(c), "generation chains replay"),
         (witness is not None, "closure flags the start not special"),
         (witness == listed[-1], f"witness is {format_monomial(listed[-1])}"),

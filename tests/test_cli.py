@@ -336,10 +336,13 @@ def test_verify_remarks_command(capsys):
 
 
 @pytest.mark.parametrize("reach, failed", [
-    # a listed monomial the generation process never reaches
+    # a listed monomial that no process from the start reaches
     (("1_3^-1 2_2^2 2_4 3_3^-1", "1_5", "2_2"), "FAIL process generates 1_5"),
-    # a generated monomial that is not the closure's witness
+    # a monomial on the certificate's chain that is not its witness
     (("2_2", "1_3^-1 2_2^2 2_4 3_3^-1"), "FAIL witness is 1_3^-1 2_2^2 2_4 3_3^-1"),
+    # generated from the start in one step, but off the certificate's chain
+    # 1_1 2_2 2_4 3_3^-1, 1_3^-1 2_2^2 2_4 3_3^-1, 2_2
+    (("1_3^-1 2_2 2_4 3_1", "2_2"), "FAIL process generates 1_3^-1 2_2 2_4 3_1"),
 ])
 def test_verify_remarks_failing_row_exit_3(capsys, monkeypatch, reach, failed):
     row = ("sl4-interior-string", "A3", 2, 3, 2, "1_1 3_1 2_4", reach)

@@ -99,12 +99,12 @@ FUNDAMENTAL_LOWEST = {
 
 @pytest.mark.parametrize("series,rank", sorted(FUNDAMENTAL_LOWEST))
 def test_fundamental_lowest_monomial(series, rank):
-    # Frenkel-Mukhin (arXiv:math/9911112; recalled as Corollary 6.9, the
-    # number not checked against the paper): the lowest monomial of
-    # chi_q(L(Y_{i,q^p})) is Y_{ibar, q^{p + r^vee h^vee}}^{-1}, ibar the
-    # dual node and r^vee the largest symmetrizer.  Every term
-    # must lie above it, and it must occur once.  The nodes with r_i > 1
-    # take the multi-class rank-1 path.
+    # Frenkel-Mukhin (arXiv:math/9911112), the lowest weight monomial of a
+    # fundamental module: the lowest monomial of chi_q(L(Y_{i,q^p})) is
+    # Y_{ibar, q^{p + r^vee h^vee}}^{-1}, ibar the dual node and r^vee the
+    # largest symmetrizer.  Every term must lie above it, and it must occur
+    # once.  On the nodes with r_i > 1 each node restriction is one
+    # q_i-stepped rank-1 character.
     c = build_diagram(series, rank)
     h_dual, dual = FUNDAMENTAL_LOWEST[series, rank]
     shift = max(c.r(i) for i in c.nodes) * h_dual

@@ -6,6 +6,7 @@ import pytest
 from _characters import qchar_is_thin
 from _enum_oracle import box_dominants, check_type_A_form
 
+from qchar import expansion, smallness
 from qchar.cartan import DiagramError, build_diagram, parse_diagram
 from qchar.cli import _json_text
 from qchar.expansion import (
@@ -444,3 +445,19 @@ def test_verify_counterexamples_all_pass():
         "sl4-interior-string", "fork-d4-leaf-level-4", "triangle-cycle-level-3"]
     for r in results:
         assert r.passed, r.details
+
+
+def test_verify_counterexamples_runs_only_stopping_processes(monkeypatch):
+    # each row reads the certificate its cell made: every process it runs
+    # is a closure's certifying one, which stops on dominant
+    stops = []
+    original = expansion.generate_process
+
+    def recorded(*args, **kwargs):
+        stops.append(kwargs.get("stop_on_dominant", False))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(expansion, "generate_process", recorded)
+    monkeypatch.setattr(smallness, "generate_process", recorded, raising=False)
+    assert all(r.passed for r in verify_counterexamples(Budgets()))
+    assert stops and all(stops)
