@@ -45,15 +45,16 @@ engine widens its fields and restarts the run before that bound reaches
 the limit.  A result is the root plus a packed template delta, so equality
 and hashing are on ints.  Every result but the root has a larger witness
 total than its root, so both worklists are lists per total of packed
-monomials, each sorted once by its tie keys when the run reaches it, which
-pops in the same (total, tie key) order as a heap would.  A key is read
-from the engine, joined from cached per-node pairs with no sort, only when
-a level is reached or the output needs it, and a ``Monomial`` is built
-only from such a key: the closure builds one per settled monomial, for
-its tie key and the ``QCharacter``, and the process one per monomial with
-a chain.  So a budget-capped run pays little for the results at levels
-it never reaches.  Whether a new result is dominant, which both runs ask
-at once, is read only for results with no negative node int.
+monomials.  The process sorts each level once by its tie keys when it
+reaches it, which pops in the same (total, tie key) order as a heap would.
+The closure settles each level in push order, as the order within a level
+changes nothing it computes, and sorts only a level where it stops.  A
+key is joined from the engine's cached per-node pairs, and a ``Monomial``
+built from it, only for a sort or the output: the process builds one per
+monomial with a chain, and the closure one per settle only for its
+character, so a cell's closures build none.  Whether a new result is
+dominant, which both runs ask at once, is read off cached per-node flags,
+and only for results with no negative node int.
 """
 
 from __future__ import annotations
@@ -286,6 +287,14 @@ class _Expander:
             dominant &= entry[1]
         return key, dominant
 
+    def dominant(self, x):
+        """Whether the packed ``x`` has no negative exponent, read off the
+        cached flags of its node ints with no key joined."""
+        for s, seen in enumerate(self._seen):
+            if not (seen.get(x[s]) or self._node(s, x[s]))[1]:
+                return False
+        return True
+
     def _node(self, s, v):
         """The node int ``v`` at slot ``s`` as its ((node, power), exponent)
         pairs in ascending power, and whether none is negative; cached."""
@@ -393,9 +402,6 @@ class GenerationTrace:
         return sorted((m for m in self.chains
                        if m != self.start and m.is_dominant()),
                       key=lambda m: m.key)
-
-    def __contains__(self, m):
-        return m in self.chains
 
     def replay(self, c: CartanData) -> bool:
         """Re-run every chain through ``expand_Li``, apart from the engine
@@ -524,7 +530,7 @@ def _generate(c, m, budget, stop_on_dominant, ex):
                 links[nu] = link
                 levels[total + n].append(nu)
                 # a negative node int has a negative top exponent
-                if stop_on_dominant and min(nu) >= 0 and read(nu)[1]:
+                if stop_on_dominant and min(nu) >= 0 and ex.dominant(nu):
                     dominant.append(nu)
                     stop = True
             if stop:
@@ -579,15 +585,13 @@ def fm_algorithm(c: CartanData, m: Monomial,
                  budget: int = DEFAULT_FM_STEPS,
                  process_budget: int = DEFAULT_PROCESS_STEPS,
                  order_within_level=None,
-                 *, _expander: _Expander | None = None) -> SpecialnessReport:
+                 *, _expander: _Expander | None = None,
+                 _qchar: bool = True) -> SpecialnessReport:
     """Frenkel-Mukhin closure for the character of L(m), m dominant.
 
-    The worklist is ordered by ascending witness total against m, ties by
-    canonical encoding (``order_within_level`` lets tests permute the tie
-    order with any injective key to exercise the order-independence
-    contract); since every result lands at a larger total than its root,
-    the worklist is a list per total, sorted once by tie key when the
-    closure reaches it.  Each monomial not yet settled has one state row:
+    Monomials settle by ascending witness total against m; since every
+    result lands at a larger total than its root, the worklist is a list
+    per total.  Each monomial not yet settled has one state row:
     its multiplicity, then, per node i, the part of it that node-i
     expansions explain; the multiplicity is the maximum of those parts
     over the nodes, and a result is new exactly when it has no row.  When mu
@@ -599,6 +603,11 @@ def fm_algorithm(c: CartanData, m: Monomial,
     multiplicity less what higher tops explained: expansions never leave
     the class, and every result has a strictly larger witness total than
     its root, so it settles after every root above it has added its part.
+    So the order of the settles within a total changes nothing computed,
+    and a run stops where settling in (total, canonical key) order would.
+    ``order_within_level`` replaces that key with any injective key, and
+    then orders every level by it, so tests compare a permuted order with
+    push order.
     A forced dominant monomial other than m refutes the single-dominant
     hypothesis and is certified via the generation process, witnessed by
     that monomial if the process reaches it, else by the least dominant
@@ -609,12 +618,13 @@ def fm_algorithm(c: CartanData, m: Monomial,
     dominant, so it builds ``Monomial``s and chains only for its dominant
     monomials and their ancestors; the witness's chain is the one a run
     that keeps every chain would give.  ``_expander`` lets
-    ``check_small_empirical`` share one engine across a cell's closures.
+    ``check_small_empirical`` share one engine across a cell's closures,
+    and ``_qchar=False`` skips the character of a consistent report.
     """
     _check_start(c, m, "the closure")
     ex = _expander or _Expander(c)
     out = _rerun_when_widened(_fm_closure, c, m, budget,
-                              order_within_level, ex)
+                              order_within_level, ex, _qchar)
     if isinstance(out, SpecialnessReport):
         return out
     # the closure's state is released before the process runs
@@ -630,71 +640,103 @@ def fm_algorithm(c: CartanData, m: Monomial,
                              chain=trace.chains[witness], steps=steps)
 
 
-def _fm_closure(c, m, budget, order_within_level, ex):
-    """The closure of ``fm_algorithm``: its consistent report, or the
-    (forced dominant or None, steps, diagnostic) of an inconclusive exit.
-    It runs on the packed layout of ``ex`` and raises ``_FieldsWidened``
-    when ``ex`` widened its fields mid-run.  A new result is pushed packed,
-    with its state row; its key is read and its ``Monomial`` built when
-    its level is reached, so a result below the last level the budget
-    reaches is never read, unless it may be a forced dominant monomial: a
-    new result is read at once only when no node int is negative.  A
-    monomial's row leaves ``state`` when it settles: its multiplicity is
-    final then, as every root above it has settled, and it is no later
-    result, as results lie strictly below their roots."""
+def _fm_closure(c, m, budget, order_within_level, ex, qchar=True):
+    """The closure of ``fm_algorithm``: its consistent report, with its
+    character if ``qchar``, or the (forced dominant or None, steps,
+    diagnostic) of an inconclusive exit.  It runs on the packed layout of
+    ``ex`` and raises ``_FieldsWidened`` when ``ex`` widened its fields
+    mid-run.  A result is pushed packed with its state row, which is final
+    when its level is reached, as every root above it has settled.  A
+    level settles in push order; its tie order is read only at a level
+    where the run stops, and each stop shows without it: the budget ends
+    in the level (which keeps its first members in tie order), a member is
+    left unexplained, or a result first created in the level is dominant,
+    read off the per-slot flags.  ``_first_stop`` then finds the first
+    stop in tie order.  So a consistent run reads no key but those of the
+    ``Monomial``s it builds for ``qchar``, one per settle."""
     x0 = ex.start(m)
     width = len(c.nodes) + 1
     # unsettled monomial -> [multiplicity, its share at each node's slot]
     state = {x0: [1] + [0] * (width - 1)}
     terms = {}
     steps = 0
-    read = ex.read
+    read, dominant = ex.read, ex.dominant
 
-    def settling(pushed):
-        x, row = pushed
-        mu = Monomial._from_key(read(x)[0])
-        tie = order_within_level(mu) if order_within_level else mu.key
-        return tie, x, row, mu
+    def tie(pushed):
+        mu = Monomial._from_key(read(pushed[0])[0])
+        return order_within_level(mu) if order_within_level else mu.key
 
     levels = defaultdict(list)
     levels[0].append((x0, state[x0]))
-    for total, (_, x, row, mu) in _in_level_order(levels, settling):
-        if steps >= budget:
+    total = -1
+    while levels:
+        total += 1
+        level = levels.pop(total, [])
+        capped = len(level) > budget - steps
+        ordered = capped or order_within_level
+        if ordered:
+            level.sort(key=tie)
+            del level[budget - steps:]
+        found = set()  # the level's new results with no negative exponent
+        unexplained = False
+        for x, row in level:
+            del state[x]
+            t_mu = row[0]
+            if qchar:
+                terms[Monomial._from_key(read(x)[0])] = t_mu
+            for s in range(width - 1):
+                coeff = t_mu - row[s + 1]
+                if not coeff:
+                    continue
+                tpl = ex.templates(x, s, total)
+                if tpl is None:
+                    unexplained = True
+                    continue
+                for d, t, n in tpl:
+                    nu = tuple(map(add, x, d))
+                    r = state.get(nu)
+                    if r is None:
+                        r = state[nu] = [0] * width
+                        r[0] = r[s + 1] = coeff * t
+                        levels[total + n].append((nu, r))
+                        # a negative node int has a negative top exponent
+                        if min(nu) >= 0 and dominant(nu):
+                            found.add(nu)
+                        continue
+                    f = r[s + 1] = r[s + 1] + coeff * t
+                    if f > r[0]:
+                        r[0] = f
+        if unexplained or found:
+            if not ordered:
+                level.sort(key=tie)
+            return _first_stop(c, ex, level, total, steps, found)
+        steps += len(level)
+        if capped:
             return None, steps, "step budget exhausted"
-        steps += 1
-        del state[x]
-        t_mu = terms[mu] = row[0]
+
+    return SpecialnessReport(SPECIAL_FM_CONSISTENT, m, steps=steps,
+                             qchar=QCharacter(terms, highest=m) if qchar else None)
+
+
+def _first_stop(c, ex, level, total, steps, found):
+    """The exit of ``_fm_closure`` at ``level``, in tie order, after
+    ``steps`` settles: its first member left unexplained, or its first
+    expansion to meet a result in ``found``, the level's new dominant
+    results (an earlier expansion to meet one would have created it).
+    Only results are recomputed: rows and templates are as settled."""
+    for steps, (x, row) in enumerate(level, steps + 1):
         for s, i in enumerate(c.nodes):
-            coeff = t_mu - row[s + 1]
-            if not coeff:
+            if row[0] == row[s + 1]:
                 continue
             tpl = ex.templates(x, s, total)
             if tpl is None:
+                mu = Monomial._from_key(ex.read(x)[0])
                 return None, steps, (f"node-{i} class leaves non-dominant "
                                      f"{format_monomial(mu)} unexplained")
-            forced = None  # key of the least new dominant result
-            for d, t, n in tpl:
-                nu = tuple(map(add, x, d))
-                r = state.get(nu)
-                if r is None:
-                    r = state[nu] = [0] * width
-                    r[0] = r[s + 1] = coeff * t
-                    levels[total + n].append((nu, r))
-                    # a negative node int has a negative top exponent
-                    if min(nu) >= 0:
-                        key, dominant = read(nu)
-                        if dominant and (forced is None or key < forced):
-                            forced = key
-                    continue
-                f = r[s + 1] = r[s + 1] + coeff * t
-                if f > r[0]:
-                    r[0] = f
-            if forced is not None:
-                forced = Monomial._from_key(forced)
+            new = [nu for d, _, _ in tpl if (nu := tuple(map(add, x, d))) in found]
+            if new:
+                forced = Monomial._from_key(min(ex.read(nu)[0] for nu in new))
                 return forced, steps, (
                     "closure forces dominant monomial "
                     f"{format_monomial(forced)} but the generation process "
                     "found no replayable witness within budget")
-
-    return SpecialnessReport(SPECIAL_FM_CONSISTENT, m,
-                             qchar=QCharacter(terms, highest=m), steps=steps)

@@ -309,9 +309,9 @@ def check_small_empirical(c: CartanData, i, k: int, r: int,
 
     Enumerates the dominant monomials below the string and runs the
     closure on each entry that ``no_candidate_entries`` does not clear;
-    ``EmpiricalRecord.verdict`` combines the outcomes.  Only a certifying
-    report is kept, so no character outlives the reading of its verdict.
-    The closures of one cell share one expansion engine.
+    ``EmpiricalRecord.verdict`` combines the outcomes.  The closures build
+    no character, as the verdict reads none, and only a certifying report
+    is kept.  The closures of one cell share one expansion engine.
     """
     theoretical = classify(c, i, k)
     enum = enumerate_dominant_below(c, i, k, r, budget=budgets.enum_nodes)
@@ -325,12 +325,12 @@ def check_small_empirical(c: CartanData, i, k: int, r: int,
         if m in cleared:
             continue
         rep = fm_algorithm(c, m, budget=budgets.fm_steps,
-                           process_budget=budgets.process_steps, _expander=ex)
+                           process_budget=budgets.process_steps,
+                           _expander=ex, _qchar=False)
         if rep.verdict == NOT_SPECIAL:
             record.not_special.append(rep)
         elif rep.verdict == INCONCLUSIVE:
             record.undetermined.append(m)
-        del rep  # a consistent closure's character goes before the next closure
     return SmallnessVerdict(diagram=c.name, node=i, k=k, r=r,
                             theoretical=theoretical, empirical=record)
 
@@ -394,7 +394,8 @@ def _replay(name, spec, i, k, r, start, reach, budgets):
         (m.is_dominant(), f"start {format_monomial(m)} is dominant"),
         (w is not None and w.total() == 1,
          f"start sits one root step below the level-{k} string at node {i}"),
-        *((t in passed, f"process generates {format_monomial(t)}") for t in listed),
+        *((t in passed, f"certificate chain passes {format_monomial(t)}")
+          for t in listed),
         (trace.replay(c), "generation chains replay"),
         (witness is not None, "closure flags the start not special"),
         (witness == listed[-1], f"witness is {format_monomial(listed[-1])}"),

@@ -85,8 +85,8 @@ def test_criterion_2_interior_string_sl4():
     assert mp in [x for x, _ in enum.entries]
 
     trace = generate_process(c, mp)
-    assert parse_monomial("1_3^-1 3_3^-1 2_2^2 2_4") in trace
-    assert parse_monomial("2_2") in trace
+    assert parse_monomial("1_3^-1 3_3^-1 2_2^2 2_4") in trace.chains
+    assert parse_monomial("2_2") in trace.chains
     assert trace.replay(c)
 
     rep = fm_algorithm(c, mp)
@@ -115,7 +115,7 @@ def test_criterion_3_fork_leaf_level_4():
               parse_monomial("1_1 1_3^2 1_5 2_4^-1"),
               parse_monomial("1_1 1_3")]
     for x in listed:
-        assert x in trace
+        assert x in trace.chains
     assert trace.replay(c)
 
     cell = check_small_empirical(c, 1, 4, 2)
@@ -137,8 +137,8 @@ def test_criterion_4_triangle_cycle():
     # pinned here; the witness sits a few root steps down)
     budgets = Budgets(fm_steps=400, process_steps=400)
     trace = generate_process(c, mp, budget=budgets.process_steps)
-    assert parse_monomial("1_3^-1 0_3^-1 1_2 0_2 2_2^2 2_4") in trace
-    assert parse_monomial("2_2 1_2 0_2") in trace
+    assert parse_monomial("1_3^-1 0_3^-1 1_2 0_2 2_2^2 2_4") in trace.chains
+    assert parse_monomial("2_2 1_2 0_2") in trace.chains
 
     cell = check_small_empirical(c, 2, 3, 2, budgets)
     assert cell.empirical.verdict == NOT_SMALL

@@ -336,13 +336,13 @@ def test_verify_remarks_command(capsys):
 
 
 @pytest.mark.parametrize("reach, failed", [
-    # a listed monomial that no process from the start reaches
-    (("1_3^-1 2_2^2 2_4 3_3^-1", "1_5", "2_2"), "FAIL process generates 1_5"),
+    # a listed monomial that the certificate's chain does not pass
+    (("1_3^-1 2_2^2 2_4 3_3^-1", "1_5", "2_2"), "FAIL certificate chain passes 1_5"),
     # a monomial on the certificate's chain that is not its witness
     (("2_2", "1_3^-1 2_2^2 2_4 3_3^-1"), "FAIL witness is 1_3^-1 2_2^2 2_4 3_3^-1"),
     # generated from the start in one step, but off the certificate's chain
     # 1_1 2_2 2_4 3_3^-1, 1_3^-1 2_2^2 2_4 3_3^-1, 2_2
-    (("1_3^-1 2_2 2_4 3_1", "2_2"), "FAIL process generates 1_3^-1 2_2 2_4 3_1"),
+    (("1_3^-1 2_2 2_4 3_1", "2_2"), "FAIL certificate chain passes 1_3^-1 2_2 2_4 3_1"),
 ])
 def test_verify_remarks_failing_row_exit_3(capsys, monkeypatch, reach, failed):
     row = ("sl4-interior-string", "A3", 2, 3, 2, "1_1 3_1 2_4", reach)
@@ -369,7 +369,7 @@ def test_verify_remarks_row_whose_start_the_cell_clears(capsys, monkeypatch):
         "FAIL cleared",
         "  PASS start 2_2 is dominant",
         "  FAIL start sits one root step below the level-3 string at node 2",
-        "  PASS process generates 2_2",
+        "  PASS certificate chain passes 2_2",
         "  PASS generation chains replay",
         "  FAIL closure flags the start not special",
         "  FAIL witness is 2_2",

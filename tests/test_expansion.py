@@ -32,7 +32,7 @@ from qchar.monomials import (
     kr_highest,
     parse_monomial,
 )
-from qchar.smallness import check_small_empirical, enumerate_dominant_below
+from qchar.smallness import SMALL, check_small_empirical, enumerate_dominant_below
 
 A1 = build_diagram("A", 1)
 A2 = build_diagram("A", 2)
@@ -166,8 +166,8 @@ def test_process_rank1_recovers_string_character():
 def test_process_counter_example():
     mp = parse_monomial("1_1 3_1 2_4")
     trace = generate_process(A3, mp)
-    assert parse_monomial("1_3^-1 3_3^-1 2_2^2 2_4") in trace
-    assert parse_monomial("2_2") in trace
+    assert parse_monomial("1_3^-1 3_3^-1 2_2^2 2_4") in trace.chains
+    assert parse_monomial("2_2") in trace.chains
     assert trace.replay(A3)
     # chains carry node-dominant roots only
     for chain in trace.chains.values():
@@ -215,8 +215,8 @@ def test_process_fork_example(monkeypatch):
     trace = generate_process(D4, m)
     for t in ["1_1 1_3 1_5 2_2^-1 3_1 4_1", "1_1 1_3 1_5 2_2 3_3^-1 4_3^-1",
               "1_1 1_3^2 1_5 2_4^-1", "1_1 1_3"]:
-        assert parse_monomial(t) in trace
-    assert m in trace and trace.chains[m] == ()
+        assert parse_monomial(t) in trace.chains
+    assert m in trace.chains and trace.chains[m] == ()
     monkeypatch.setattr(expansion, "_Expander", _NoEngine)
     assert trace.replay(D4)
 
@@ -493,7 +493,7 @@ def test_fm_mult_two_forced_by_overlap():
     assert mult2 == [parse_monomial("2_2 2_4^-1")]
 
 
-def _reference_closure(c, m, budget, order_within_level, ex, *,
+def _reference_closure(c, m, budget, order_within_level, ex, qchar=True, *,
                        wit, expansions):
     """The closure read off its class definition, in ``_fm_closure``'s
     calling convention.  A node-i class is the settled monomials whose
@@ -554,9 +554,9 @@ def _reference_closure(c, m, budget, order_within_level, ex, *,
                             "closure forces dominant monomial "
                             f"{format_monomial(nu)} but the generation process "
                             "found no replayable witness within budget")
-    return expansion.SpecialnessReport(SPECIAL_FM_CONSISTENT, m,
-                                       qchar=QCharacter(mult, highest=m),
-                                       steps=steps)
+    return expansion.SpecialnessReport(
+        SPECIAL_FM_CONSISTENT, m, steps=steps,
+        qchar=QCharacter(mult, highest=m) if qchar else None)
 
 
 def test_closure_matches_class_decomposition(monkeypatch):
@@ -813,7 +813,10 @@ def test_engine_reads_each_result_key_as_the_product(c):
                 continue
             for (d, _, _), (table, _, _) in zip(tpl, expand_Li_steps(c, m, i)[1:]):
                 mu = _result(c, m, i, table)
-                got = ex.read(tuple(map(add, x, d)))
+                nu = tuple(map(add, x, d))
+                # the flags alone say the same, with no key joined
+                assert ex.dominant(nu) == mu.is_dominant()
+                got = ex.read(nu)
                 assert got == (mu.key, mu.is_dominant()), (format_monomial(m), i)
                 seen[got[1]] += 1
     assert all(seen.values()), seen
@@ -1010,3 +1013,45 @@ def test_empirical_cell_packs_each_template_once(monkeypatch, closures):
     cell = check_small_empirical(A3, 2, 3, 0)
     assert len(closures) > 1 and cell.empirical.not_special  # processes certified
     assert builds and len(builds) == len(set(builds))
+
+
+def _counted_reads(monkeypatch):
+    """The packed monomials ``_Expander.read`` is asked for, in call order."""
+    reads = []
+    read = _Expander.read
+
+    def counted(self, x):
+        reads.append(x)
+        return read(self, x)
+
+    monkeypatch.setattr(_Expander, "read", counted)
+    return reads
+
+
+@pytest.mark.parametrize("spec, i, k", [("A4", 1, 4), ("D4", 1, 2), ("A3", 1, 3)])
+def test_small_cell_closures_read_no_key(monkeypatch, closures, spec, i, k):
+    # a consistent closure settles every level in push order and the cell
+    # asks for no character, so no closure joins a key or builds a Monomial
+    reads = _counted_reads(monkeypatch)
+    cell = check_small_empirical(parse_diagram(spec), i, k, 0)
+    assert cell.empirical.verdict == SMALL and reads == []
+    assert closures and all(r.steps > 1 and r.qchar is None for r in closures)
+
+
+def test_capped_closure_reads_only_its_last_level(monkeypatch):
+    # a budget that ends inside a level sorts that level alone: the levels
+    # above it settle in push order
+    m = kr_highest(D4, 2, 2, 0)
+    full = fm_algorithm(D4, m)
+    sizes = [0] * (full.steps + 1)
+    for mu in full.qchar.terms:
+        sizes[divide_as_a_product(D4, mu, m).total()] += 1
+    last = 9
+    above = sum(sizes[:last])
+    assert 1 < sizes[last] < above
+    reads = _counted_reads(monkeypatch)
+    for budget in (above + 1, above + sizes[last] - 1):
+        reads.clear()
+        out = expansion._fm_closure(D4, m, budget, None, _Expander(D4), False)
+        assert out == (None, budget, "step budget exhausted")
+        assert 0 < len(reads) <= sizes[last]

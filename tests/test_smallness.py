@@ -348,10 +348,14 @@ def _reachable(obj, seen=None):
 
 def test_finished_cell_holds_no_character(closures):
     cell = check_small_empirical(D4, 2, 3, 0)
-    # the cell ran consistent closures, each with its character
+    # the cell's consistent closures build no character; the same closure
+    # called directly builds one term per settled monomial
     assert len(closures) == 9 and cell.empirical.not_special
     consistent = [r for r in closures if r.verdict == SPECIAL_FM_CONSISTENT]
-    assert consistent and all(r.qchar is not None for r in consistent)
+    assert consistent and all(r.qchar is None for r in consistent)
+    for rep in consistent:
+        full = fm_algorithm(D4, rep.subject)
+        assert full.verdict == rep.verdict and len(full.qchar) == rep.steps
     held = _reachable(cell).values()
     assert not any(isinstance(obj, QCharacter) for obj in held)
 
