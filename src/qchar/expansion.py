@@ -26,10 +26,13 @@ refutation is then certified with a generation-process chain.
 
 The closure and the generation process expand through one ``_Expander``
 per run (per cell in the empirical pipeline), which calls
-``expand_Li_steps`` once per shape (a node restriction up to a shift by a
-multiple of r_i).  The engine alone decides whether a root is i-dominant,
-and hands out the packed delta of each result but the root: each packed
-restriction packs its shape's rank-1 step tables once, shifted to it.
+``expand_Li_steps`` once per content: the exponents of a node restriction
+up to a shift by a multiple of r_i, together with r_i.  The rank-1
+character reads nothing else, so nodes with one r_i that meet one content
+share its step tables.  The engine alone decides whether a root is
+i-dominant, and hands out the packed delta of each result but the root:
+each packed restriction packs its content's rank-1 step tables once,
+shifted to it, with its own node's row of A^{-1}.
 Chain replay shares none of it: each step is checked against
 ``expand_Li``, which applies the same tables through ``AWitness.apply``.
 
@@ -169,7 +172,7 @@ def _rerun_when_widened(run, *args):
 
 class _Expander:
     """The one place where the closure and the process expand a root at a
-    node, once per shape, and the owner of the packed layout they run on.
+    node, once per content, and the owner of the packed layout they run on.
 
     Layout.  Inside a run a monomial is a tuple with one int per node, in
     ``c.nodes`` order.  Node j's int is the sum of e << bits * (p - base)
@@ -195,17 +198,21 @@ class _Expander:
     below the base raises (a negative shift).  A new layout drops the
     packed caches and the key pairs: its node ints mean other exponents.
 
-    Templates.  ``expand_Li_steps`` reads a root only through its node-i
-    restriction, and shifting that restriction by a multiple of r_i shifts
-    every delta by the same amount.  A restriction's base is
-    ``r_i * (min power // r_i)``, and its shape is the restriction shifted
-    down by its base.  Each shape is expanded once, itself, as a bare
-    node-i monomial at base 0, and its non-root results are kept as
-    ``(table, multiplicity, total)``, the rank-1 step tables of
-    ``expand_Li_steps``, with the largest total.  Each packed restriction
-    of the shape, in any layout, packs those tables raised by its base,
-    once, as the sum of count times the packed A_{i,q^p}^{-1}
-    (``_pack_tables``), so a power below the layout's base raises.
+    Templates.  ``expand_Li_steps`` reads a root only through the
+    exponents of its node-i restriction and r_i, and shifting that
+    restriction by a multiple of r_i shifts every delta by the same amount.
+    A restriction's base is ``r_i * (min power // r_i)``, and its content
+    is ``(r_i, ((power - base, exponent), ...))``: no node, so nodes with
+    one r_i share it.  Each content is expanded once, at the first node
+    that meets it, as a bare node-i monomial at base 0, and its non-root
+    results are kept as ``(table, multiplicity, total)``, the rank-1 step
+    tables of ``expand_Li_steps``, with the largest total.  A table names
+    powers and counts only.  Each packed restriction with the content, at
+    any node and in any layout, packs those tables raised by its base, once,
+    as the sum of count times its own node's packed A_{i,q^p}^{-1}
+    (``_pack_tables``), so a power below the layout's base raises.  r_i
+    stays in the content, as nodes with different r_i do meet one content
+    (in B, C, F and G) and step it by different powers.
     It keeps its templates ``(packed delta, multiplicity, total)``, so a
     result is ``tuple(map(add, root, packed delta))``.  A restriction with
     a negative exponent gets None.
@@ -223,7 +230,7 @@ class _Expander:
     ``min(x) >= 0``.
     """
 
-    __slots__ = ("c", "_slot", "base", "bits", "_room", "_shapes",
+    __slots__ = ("c", "_slot", "base", "bits", "_room", "_contents",
                  "_packed", "_seen", "_by_node")
 
     def __init__(self, c: CartanData, base=None):
@@ -232,8 +239,9 @@ class _Expander:
         self.base = base  # lowest power of the layout, None until one is seen
         self.bits = 16
         self._room = 0  # largest witness total the current run may reach
-        # (i, shape) -> (largest total, step tables) of the shape at base 0
-        self._shapes = {}
+        # content (r_i, (power - base, exponent) pairs) -> (largest total,
+        # step tables) of the content
+        self._contents = {}
         # per slot, packed restriction -> (largest total, packed templates)
         self._packed = [{} for _ in c.nodes]
         # per slot, node int -> (its key pairs, no negative exponent)
@@ -326,11 +334,12 @@ class _Expander:
         i = self.c.nodes[s]
         ri = self.c.r(i)
         base = ri * (restr[0][0][1] // ri) if restr else 0
-        shape = tuple(((i, p - base), e) for (_, p), e in restr)
-        known = self._shapes.get((i, shape))
+        pairs = tuple((p - base, e) for (_, p), e in restr)
+        known = self._contents.get((ri, pairs))
         if known is None:
-            tables = expand_Li_steps(self.c, Monomial._from_key(shape), i)[1:]
-            known = self._shapes[(i, shape)] = (
+            shape = Monomial._from_key(tuple(((i, p), e) for p, e in pairs))
+            tables = expand_Li_steps(self.c, shape, i)[1:]
+            known = self._contents[ri, pairs] = (
                 max((total for _, _, total in tables), default=0), tables)
         tmax, tables = known
         return tmax, self._pack_tables(i, tables, base)
@@ -663,8 +672,10 @@ def _fm_closure(c, m, budget, order_within_level, ex, qchar=True):
     read, dominant = ex.read, ex.dominant
 
     def tie(pushed):
-        mu = Monomial._from_key(read(pushed[0])[0])
-        return order_within_level(mu) if order_within_level else mu.key
+        key = read(pushed[0])[0]
+        if order_within_level:
+            return order_within_level(Monomial._from_key(key))
+        return key
 
     levels = defaultdict(list)
     levels[0].append((x0, state[x0]))

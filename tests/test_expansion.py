@@ -32,7 +32,12 @@ from qchar.monomials import (
     kr_highest,
     parse_monomial,
 )
-from qchar.smallness import SMALL, check_small_empirical, enumerate_dominant_below
+from qchar.smallness import (
+    SMALL,
+    Budgets,
+    check_small_empirical,
+    enumerate_dominant_below,
+)
 
 A1 = build_diagram("A", 1)
 A2 = build_diagram("A", 2)
@@ -713,15 +718,23 @@ def test_expander_names_the_callers_monomial():
     assert "1_0 1_2^-1" not in str(err.value)  # the shifted shape
 
 
-def _count_shapes(monkeypatch):
-    """Record the (node, shape) of every expand_Li_steps call."""
+def _content(c, i, powers):
+    """The content of a node-i restriction ``powers`` (power -> exponent):
+    r_i and its (power - base, exponent) pairs, base the largest multiple
+    of r_i at or below its lowest power.  The rank-1 character reads
+    nothing else, so nodes with one r_i share it."""
+    ri = c.r(i)
+    base = ri * (min(powers) // ri) if powers else 0
+    return ri, tuple(sorted((p - base, e) for p, e in powers.items()))
+
+
+def _count_contents(monkeypatch):
+    """Record the content of every expand_Li_steps call."""
     calls = []
     original = expansion.expand_Li_steps
 
     def counted(c, m, i):
-        powers = m.node_powers(i)
-        base = c.r(i) * (min(powers) // c.r(i)) if powers else 0
-        calls.append((i, tuple(sorted((p - base, e) for p, e in powers.items()))))
+        calls.append(_content(c, i, m.node_powers(i)))
         return original(c, m, i)
 
     monkeypatch.setattr(expansion, "expand_Li_steps", counted)
@@ -729,7 +742,7 @@ def _count_shapes(monkeypatch):
 
 
 def test_fm_expands_each_shape_once(monkeypatch):
-    calls = _count_shapes(monkeypatch)
+    calls = _count_contents(monkeypatch)
     rep = fm_algorithm(D4, kr_highest(D4, 2, 2, 0))
     assert rep.verdict == SPECIAL_FM_CONSISTENT
     assert calls and len(calls) == len(set(calls))
@@ -738,7 +751,7 @@ def test_fm_expands_each_shape_once(monkeypatch):
 
 def test_certifying_process_reuses_closure_shapes(monkeypatch):
     # the closure stops early, then the process certifies with its engine
-    calls = _count_shapes(monkeypatch)
+    calls = _count_contents(monkeypatch)
     rep = fm_algorithm(A3, parse_monomial("1_1 3_1 2_4"), budget=2)
     assert rep.verdict == NOT_SPECIAL
     assert len(calls) == len(set(calls))
@@ -746,10 +759,35 @@ def test_certifying_process_reuses_closure_shapes(monkeypatch):
 
 def test_empirical_cell_expands_each_shape_once(monkeypatch, closures):
     # one engine serves every closure and certifying process of the cell
-    calls = _count_shapes(monkeypatch)
+    calls = _count_contents(monkeypatch)
     check_small_empirical(A3, 2, 3, 2)
     assert len(closures) > 1
     assert calls and len(calls) == len(set(calls))
+
+
+@pytest.mark.parametrize("run", [
+    lambda: fm_algorithm(D4, kr_highest(D4, 2, 2, 0)),
+    lambda: check_small_empirical(A2_AFFINE, 0, 2, 0, Budgets(400, 400)),
+], ids=["D4-kr", "A2~-cell"])
+def test_nodes_that_meet_one_content_share_its_expansion(monkeypatch, run):
+    # each content is expanded once, at the first node that meets it, and
+    # other nodes do meet it: each packs the shared tables with its own row
+    calls = _count_contents(monkeypatch)
+    met = set()  # (node, content) of each dominant restriction built
+    build = _Expander._build
+
+    def counted(self, s, v):
+        i = self.c.nodes[s]
+        restr, dominant = self._node(s, v)
+        if dominant:
+            met.add((i, _content(self.c, i, {p: e for (_, p), e in restr})))
+        return build(self, s, v)
+
+    monkeypatch.setattr(_Expander, "_build", counted)
+    run()
+    assert calls and len(calls) == len(set(calls))
+    assert set(calls) == {content for _, content in met}
+    assert len(met) > len(calls)
 
 
 @pytest.mark.parametrize("c, i, k", [(D4, 2, 3), (A2_AFFINE, 0, 2)])
@@ -964,7 +1002,7 @@ def test_shape_templates_pack_across_restrictions_and_layouts(
     i = max(c.nodes, key=c.r)
     ri, s = c.r(i), c.nodes.index(i)
     j = c.neighbors(i)[0]
-    calls = _count_shapes(monkeypatch)
+    calls = _count_contents(monkeypatch)
     packs = []
     pack = _Expander._pack_tables
 
