@@ -141,6 +141,13 @@ class AWitness:
             raise ValueError("witness entries must be nonnegative")
         self.key = tuple(sorted(vv.items()))
 
+    @classmethod
+    def _from_key(cls, key):
+        """The witness of an already canonical ``key``, trusted unchecked."""
+        w = cls.__new__(cls)
+        w.key = key
+        return w
+
     def total(self) -> int:
         return sum(x for _, x in self.key)
 

@@ -138,11 +138,19 @@ def enumerate_dominant_below(c: CartanData, i, k: int, r: int,
     nodes as comparing every negative key with the keys raisable after idx.
     Each child is counted in ``visited`` and then tested before the search
     descends into it, so ``visited``, ``partial`` and the budget count
-    every node either test would reach.  A dead child whose negative key is
-    one its own cell lowers has dead siblings at every larger count; they
-    are counted in one step, not built.  At a leaf nothing is raisable, so
-    a live leaf is dominant.  Every emitted monomial is checked against its
-    witness applied to X.
+    every node either test would reach.  At a leaf nothing is raisable, so
+    a live leaf is dominant.
+
+    The keys that cell idx lowers fix its count range once, when the search
+    enters the depth: on a simply-laced diagram each count lowers each of
+    them by exactly 1, so counts 0..top with top = min(k, their exponents)
+    keep them nonnegative and run only the test on the others.  Count 0
+    keeps the live parent's exponents, so top >= 0.  Counts top+1..k, the
+    dead tail, are counted in ``visited`` in one step, within the budget,
+    and never built.  An entry's key and witness are read off the exponents
+    and counts in canonical key and cell order, computed once per call, so
+    no entry is sorted.  Every entry is checked against its witness applied
+    to X, which recomputes it through the A-rows.
     """
     if not c.simply_laced:
         raise DiagramError("dominant-monomial enumeration is implemented for "
@@ -150,17 +158,16 @@ def enumerate_dominant_below(c: CartanData, i, k: int, r: int,
     if i not in c.nodes:
         raise DiagramError(f"node {i} not in diagram {c.name}")
     X = kr_highest(c, i, k, r)
-    cells = _support_box(c, i, k, r)
     if budget <= 0:
         return Enumeration(entries=[], partial=True, visited=0)
+    cells = _support_box(c, i, k, r)
     if not cells:  # the root X, counted and dominant, is the only node
         return Enumeration(entries=[(X, AWitness())], partial=False, visited=1)
     pos = {key: q for q, (key, _) in enumerate(X.items())}
     steps = [tuple((pos.setdefault((l, p + d), len(pos)), -ae)
                    for (l, d), ae in c.a_row(j)) for j, p in cells]
-    keys = list(pos)
     u = dict(X.items())
-    expo = [u.get(key, 0) for key in keys]
+    expo = [u.get(key, 0) for key in pos]
     # levels[idx]: cell idx's step, then the keys it touches and no later
     # cell raises, as (keys that cell idx lowers, the others)
     levels = []
@@ -171,49 +178,64 @@ def enumerate_dominant_below(c: CartanData, i, k: int, r: int,
         raised.update(q for q, x in st if x > 0)
     levels.reverse()
 
-    counts = [0] * len(levels)  # the search stack: the count at each depth
+    # the search stack: the count at each depth and the top of its range
+    counts = [0] * len(levels)
+    tops = [0] * len(levels)
     out = []
+    korder = None  # positions of the keys in canonical order, at the first entry
     partial = False
     visited = 1  # the root is X itself, counted and dominant
     depth = v = 0  # v: the next count to try at this depth
     st, lowered, others = levels[0]
+    top = 0  # count 0 is in every range; a new depth sets its own top there
     last = len(levels) - 1
     while True:
-        if v <= k:
+        if v <= top:
             if v:
                 for q, x in st:
                     expo[q] += x
                 counts[depth] = v
+            else:  # a new depth: each count lowers each lowered key by 1
+                top = k
+                for q in lowered:
+                    if expo[q] < top:
+                        top = expo[q]
+                tops[depth] = top
             if visited >= budget:
                 partial = True
                 break
             visited += 1
-            for q in lowered:
+            for q in others:
                 if expo[q] < 0:
                     break
             else:
-                for q in others:
-                    if expo[q] < 0:
-                        break
-                else:
-                    if depth < last:  # a live child: descend into it
-                        depth, v = depth + 1, 0
-                        st, lowered, others = levels[depth]
-                        continue
-                    m = Monomial(dict(zip(keys, expo)))
-                    wit = AWitness({cell: v for cell, v in zip(cells, counts) if v})
-                    if wit.apply(c, X) != m:
-                        raise AssertionError(
-                            "enumeration witness does not reach its monomial")
-                    out.append((m, wit))
-                v += 1
-                continue
-            # every larger count lowers that key further, so it is dead too:
-            # count it as the loop would, up to the budget
-            if visited + k - v > budget:
-                visited, partial = budget, True
-                break
-            visited += k - v
+                if depth < last:  # a live child: descend into it
+                    depth, v = depth + 1, 0
+                    st, lowered, others = levels[depth]
+                    continue
+                if korder is None:
+                    skeys = sorted(pos)
+                    korder = [pos[key] for key in skeys]
+                    corder = sorted(range(len(cells)), key=cells.__getitem__)
+                    scells = [cells[idx] for idx in corder]
+                m = Monomial._from_key(tuple([
+                    (key, e) for key, e in zip(skeys, map(expo.__getitem__, korder))
+                    if e]))
+                wit = AWitness._from_key(tuple([
+                    (cell, n) for cell, n in zip(scells, map(counts.__getitem__, corder))
+                    if n]))
+                if wit.apply(c, X) != m:
+                    raise AssertionError(
+                        "enumeration witness does not reach its monomial")
+                out.append((m, wit))
+            v += 1
+            continue
+        # counts top+1..k leave a lowered key negative, and nothing below
+        # raises it: count them as dead nodes, up to the budget, unbuilt
+        if visited + k - top > budget:
+            visited, partial = budget, True
+            break
+        visited += k - top
         v = counts[depth]  # every count at this depth is done: undo it
         if v:
             for q, x in st:
@@ -224,6 +246,7 @@ def enumerate_dominant_below(c: CartanData, i, k: int, r: int,
             break
         v = counts[depth] + 1
         st, lowered, others = levels[depth]
+        top = tops[depth]
     out.sort(key=lambda ew: ew[0].key)
     return Enumeration(entries=out, partial=partial, visited=visited)
 

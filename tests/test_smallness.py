@@ -15,7 +15,7 @@ from qchar.expansion import (
     QCharacter,
     fm_algorithm,
 )
-from qchar.monomials import Monomial, a_monomial, kr_highest, parse_monomial
+from qchar.monomials import AWitness, Monomial, a_monomial, kr_highest, parse_monomial
 from qchar.smallness import (
     NOT_SMALL,
     SMALL,
@@ -220,6 +220,62 @@ def test_deep_box_ends_at_its_budget(name, rank, i, k):
     # the search runs one loop over its depth, so it stops at the budget
     enum = enumerate_dominant_below(build_diagram(name, rank), i, k, 0, budget=5_000)
     assert enum.partial and enum.visited == 5_000 and enum.entries
+
+
+def test_zero_budget_builds_no_box(monkeypatch):
+    # an empty budget returns before the box is built, so a long string
+    # costs nothing; a bad level still raises before the budget is read
+    def no_box(*args):
+        raise AssertionError("the box was built")
+
+    monkeypatch.setattr(smallness, "_support_box", no_box)
+    enum = enumerate_dominant_below(A1, 1, 1_000, 0, budget=0)
+    assert (enum.entries, enum.partial, enum.visited) == ([], True, 0)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        enumerate_dominant_below(A1, 1, 0, 0, budget=0)
+
+
+def test_enumerate_checks_each_witness(monkeypatch):
+    # a witness that does not reach its entry stops the search: here every
+    # witness reaches X
+    monkeypatch.setattr("qchar.monomials.AWitness.apply", lambda self, c, m: m)
+    with pytest.raises(AssertionError,
+                       match="enumeration witness does not reach its monomial"):
+        enumerate_dominant_below(A3, 2, 3, 0)
+
+
+@pytest.mark.parametrize("name, rank, affine, i, k, full", [
+    ("D", 4, False, 2, 4, 1_011),
+    ("A", 3, False, 2, 4, 211),
+    ("A", 2, True, 0, 3, 53),
+])
+def test_every_budget_cut(name, rank, affine, i, k, full):
+    # every cut of the search, those inside a dead tail counted in one step
+    # among them, keeps a prefix of the full run's nodes and entries
+    c = build_diagram(name, rank, affine=affine)
+    whole = enumerate_dominant_below(c, i, k, 0)
+    assert (whole.visited, whole.partial) == (full, False)
+    witness = dict(whole.entries)
+    for budget in range(1, full + 2):
+        enum = enumerate_dominant_below(c, i, k, 0, budget=budget)
+        assert (enum.visited, enum.partial) == (min(budget, full), budget < full)
+        keys = [m.key for m, _ in enum.entries]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        for m, w in enum.entries:
+            assert witness[m] == w
+    assert enum.entries == whole.entries
+
+
+def test_entries_are_canonical():
+    # entries are built from stored orders with no sort: each key must be
+    # the one its exponent map sorts to, the witness order included, since
+    # JSON renders it
+    for name, rank in (("D", 4), ("D", 5), ("E", 6)):
+        c = build_diagram(name, rank)
+        for i in c.nodes:
+            for m, w in _complete(name, rank, i, 4).entries:
+                assert m.key == Monomial(dict(m.key)).key
+                assert w.key == AWitness(dict(w.key)).key
 
 
 def test_enumerate_workload_visits_are_pinned():
