@@ -48,10 +48,12 @@ engine widens its fields and restarts the run before that bound reaches
 the limit.  A result is the root plus a packed template delta, so equality
 and hashing are on ints.  Every result but the root has a larger witness
 total than its root, so both worklists are lists per total of packed
-monomials.  The process sorts each level once by its tie keys when it
-reaches it, which pops in the same (total, tie key) order as a heap would.
-The closure settles each level in push order, as the order within a level
-changes nothing it computes, and sorts only a level where it stops.  A
+monomials, and both runs walk them in one loop: pop the next total's
+level, settle or expand its members, and push their results at higher
+totals.  The process sorts each level by key when it reaches it, which
+pops in the same (total, key) order as a heap would.  The closure
+settles each level in push order, as the order within a level changes
+nothing it computes, and sorts only a level where it stops.  A
 key is joined from the engine's cached per-node pairs, and a ``Monomial``
 built from it, only for a sort or the output: the process builds one per
 monomial with a chain, and the closure one per settle only for its
@@ -219,10 +221,11 @@ class _Expander:
 
     Keys.  Few distinct ints occur at a slot, so each int's key pairs and a
     no-negative-exponent flag are cached per slot, both read off in the one
-    pass that splits the int into its fields (``_node``); ``read`` joins
+    pass that splits the int into its fields (``_node``).  ``read`` joins
     the pairs in ascending node order (not ``c.nodes`` order), which is the
-    canonical key, and ANDs the flags.  The caches live as long as the
-    engine, so the closures and certifying processes of a cell share them.
+    canonical key, and ``dominant`` reads the flags alone.  The caches live
+    as long as the engine, so the closures and certifying processes of a
+    cell share them.
     A node int has the sign of its exponent at its highest power: the lower
     fields add up to less than one unit of the top field in size, as each
     |e| < 2 ** (bits - 1).  So a negative node int proves a negative
@@ -286,14 +289,12 @@ class _Expander:
         return tpl
 
     def read(self, x):
-        """The canonical key of the packed ``x``, and whether ``x`` is
-        dominant, joined from the cached pairs of its node ints."""
-        key, dominant = (), True
+        """The canonical key of the packed ``x``, joined from the cached
+        pairs of its node ints."""
+        key = ()
         for s, seen in self._by_node:
-            entry = seen.get(x[s]) or self._node(s, x[s])
-            key += entry[0]
-            dominant &= entry[1]
-        return key, dominant
+            key += (seen.get(x[s]) or self._node(s, x[s]))[0]
+        return key
 
     def dominant(self, x):
         """Whether the packed ``x`` has no negative exponent, read off the
@@ -416,7 +417,10 @@ class GenerationTrace:
         """Re-run every chain through ``expand_Li``, apart from the engine
         that generated it: the start and every step's node must lie in the
         diagram, each root must be node-dominant and each result must occur
-        in the root's expansion at that node."""
+        in the root's expansion at that node.  It checks steps, not their
+        admissibility: a step from a root that the process would block at
+        that node (so possibly leaving the character of L(start)) still
+        replays."""
         if any(j not in c.nodes for (j, _), _ in self.start.items()):
             return False
         expansions = {}  # (root, node) -> its expansion
@@ -468,12 +472,12 @@ def generate_process(c: CartanData, m: Monomial,
     records that the check held when taken.  The run holds monomials in
     the packed layout of ``_Expander``, each with a link to the (root,
     node) of the step that generated it.  Since every push lands at a
-    larger total, the worklist is a list per total; a level's keys are
-    read, and the level sorted by them, when the run reaches it, so the
-    budget and ``stop_on_dominant`` stop the run at the same pop as a heap
-    would.  The chains are built at the end, from the links, with one
-    ``Monomial`` per generated monomial, whose key ``_Expander.read``
-    joins again from its per-node caches.  A full run keeps a chain for
+    larger total, the worklist is a list per total, walked in the same
+    loop as the closure's; a level is sorted by its members' keys when the
+    run reaches it, so the budget and ``stop_on_dominant`` stop the run at
+    the same pop as a heap would.  The chains are built at the end, from
+    the links, with one ``Monomial`` per generated monomial, whose key
+    ``_Expander.read`` joins again from its per-node caches.  A full run keeps a chain for
     every generated monomial; a run that stops on dominant keeps only the
     chains a certificate reads: those of the start, of every generated
     dominant monomial and of their ancestors.  ``_expander`` lets
@@ -482,22 +486,6 @@ def generate_process(c: CartanData, m: Monomial,
     _check_start(c, m, "generation")
     return _rerun_when_widened(_generate, c, m, budget, stop_on_dominant,
                                _expander or _Expander(c))
-
-
-def _in_level_order(levels, entry):
-    """(total, entry(item)) for the items of ``levels``, a dict from
-    witness total to a list of pushed items, in ascending (total, tie key)
-    order, while the consumer adds items at larger totals.  ``entry``
-    makes an item's sort entry, led by its tie key, when its level is
-    reached, and each level is sorted once then; tie keys are unique, so
-    no comparison reaches past them."""
-    total = 0
-    while levels:
-        level = levels.pop(total, None)
-        if level:
-            for e in sorted(map(entry, level)):
-                yield total, e
-        total += 1
 
 
 def _generate(c, m, budget, stop_on_dominant, ex):
@@ -513,39 +501,41 @@ def _generate(c, m, budget, stop_on_dominant, ex):
     levels[0].append(x0)
     steps = 0
     partial = False
-    stop = False
-    for total, (_, x) in _in_level_order(levels, lambda x: (read(x)[0], x)):
-        for s, i in enumerate(c.nodes):
-            tpl = ex.templates(x, s, total)
-            if tpl is None:
-                continue
-            results = [canonical.setdefault(nu, nu) for nu in
-                       (tuple(map(add, x, d)) for d, _, _ in tpl)]
-            blocked = x in covered[s]
-            covered[s].update(results)
-            if blocked:
-                continue
-            if steps >= budget:
-                partial = True
-                stop = True
-                break
-            steps += 1
-            # every monomial is pushed once, under its own key, so the
-            # order of the pushes never changes a pop
-            link = (x, i)
-            for nu, (_, _, n) in zip(results, tpl):
-                if nu in links:
+    total = -1
+    while levels and not (partial or dominant):
+        total += 1
+        level = levels.pop(total, [])
+        level.sort(key=read)  # keys are unique, so this is the tie order
+        for x in level:
+            for s, i in enumerate(c.nodes):
+                tpl = ex.templates(x, s, total)
+                if tpl is None:
                     continue
-                links[nu] = link
-                levels[total + n].append(nu)
-                # a negative node int has a negative top exponent
-                if stop_on_dominant and min(nu) >= 0 and ex.dominant(nu):
-                    dominant.append(nu)
-                    stop = True
-            if stop:
+                results = [canonical.setdefault(nu, nu) for nu in
+                           (tuple(map(add, x, d)) for d, _, _ in tpl)]
+                blocked = x in covered[s]
+                covered[s].update(results)
+                if blocked:
+                    continue
+                if steps >= budget:
+                    partial = True
+                    break
+                steps += 1
+                # every monomial is pushed once, under its own key, so the
+                # order of the pushes never changes a pop
+                link = (x, i)
+                for nu, (_, _, n) in zip(results, tpl):
+                    if nu in links:
+                        continue
+                    links[nu] = link
+                    levels[total + n].append(nu)
+                    # a negative node int has a negative top exponent
+                    if stop_on_dominant and min(nu) >= 0 and ex.dominant(nu):
+                        dominant.append(nu)
+                if dominant:
+                    break
+            if partial or dominant:
                 break
-        if stop:
-            break
     found = {x0: m}  # packed -> Monomial, for every monomial with a chain
     chains = {m: ()}
     for last in dominant if stop_on_dominant else links:
@@ -556,7 +546,7 @@ def _generate(c, m, budget, stop_on_dominant, ex):
             last = links[last][0]
         for nu in reversed(path):
             root, i = links[nu]
-            nu_m = found[nu] = Monomial._from_key(read(nu)[0])
+            nu_m = found[nu] = Monomial._from_key(read(nu))
             chains[nu_m] = chains[found[root]] + (TraceStep(i, found[root], nu_m),)
     return GenerationTrace(start=m, chains=chains, partial=partial, steps=steps)
 
@@ -672,7 +662,7 @@ def _fm_closure(c, m, budget, order_within_level, ex, qchar=True):
     read, dominant = ex.read, ex.dominant
 
     def tie(pushed):
-        key = read(pushed[0])[0]
+        key = read(pushed[0])
         if order_within_level:
             return order_within_level(Monomial._from_key(key))
         return key
@@ -694,7 +684,7 @@ def _fm_closure(c, m, budget, order_within_level, ex, qchar=True):
             del state[x]
             t_mu = row[0]
             if qchar:
-                terms[Monomial._from_key(read(x)[0])] = t_mu
+                terms[Monomial._from_key(read(x))] = t_mu
             for s in range(width - 1):
                 coeff = t_mu - row[s + 1]
                 if not coeff:
@@ -741,12 +731,12 @@ def _first_stop(c, ex, level, total, steps, found):
                 continue
             tpl = ex.templates(x, s, total)
             if tpl is None:
-                mu = Monomial._from_key(ex.read(x)[0])
+                mu = Monomial._from_key(ex.read(x))
                 return None, steps, (f"node-{i} class leaves non-dominant "
                                      f"{format_monomial(mu)} unexplained")
             new = [nu for d, _, _ in tpl if (nu := tuple(map(add, x, d))) in found]
             if new:
-                forced = Monomial._from_key(min(ex.read(nu)[0] for nu in new))
+                forced = Monomial._from_key(min(ex.read(nu) for nu in new))
                 return forced, steps, (
                     "closure forces dominant monomial "
                     f"{format_monomial(forced)} but the generation process "

@@ -54,6 +54,7 @@ class Monomial:
 
     @classmethod
     def y(cls, i, r, e=1):
+        """The single variable Y_{i,q^r} raised to ``e``."""
         return cls({(i, r): e})
 
     def __hash__(self):
