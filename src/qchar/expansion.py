@@ -36,37 +36,39 @@ shifted to it, with its own node's row of A^{-1}.
 Chain replay shares none of it: each step is checked against
 ``expand_Li``, which applies the same tables through ``AWitness.apply``.
 
-Inside a run, the closure and the process hold each monomial packed: a
-tuple with one int per node, in ``c.nodes`` order, where each power from a
-base power up has a fixed-width field holding its exponent.  The base is
-the lowest power of the run's start, or of the string for all runs of an
-empirical cell (an expansion never reaches below its root's node
-restriction), and a field of width w holds |e| < 2^(w-1);
-since one root step moves a field by at most 1, every exponent of a
-monomial T steps below the start m stays within max |e_m| + T, and the
-engine widens its fields and restarts the run before that bound reaches
-the limit.  A result is the root plus a packed template delta, so equality
-and hashing are on ints.  Every result but the root has a larger witness
-total than its root, so both worklists are lists per total of packed
-monomials, and both runs walk them in one loop: pop the next total's
-level, settle or expand its members, and push their results at higher
-totals.  The process sorts each level by key when it reaches it, which
-pops in the same (total, key) order as a heap would.  The closure
-settles each level in push order, as the order within a level changes
-nothing it computes, and sorts only a level where it stops.  A
-key is joined from the engine's cached per-node pairs, and a ``Monomial``
-built from it, only for a sort or the output: the process builds one per
-monomial with a chain, and the closure one per settle only for its
-character, so a cell's closures build none.  Whether a new result is
-dominant, which both runs ask at once, is read off cached per-node flags,
-and only for results with no negative node int.
+Inside a run, the closure and the process hold each monomial packed as
+one non-negative int: each node owns a slot of fixed-width fields, one per
+power of a window from a base power up, and a field holds its exponent
+plus half its range (excess encoding).  The base is the lowest power of
+the run's start, or of the string for all runs of an empirical cell (an
+expansion never reaches below its root's node restriction), and the
+window is sized from the start's powers and a reach read off the Cartan
+data; a field of width w holds |e| < 2^(w-1).  Since one root step moves
+a field by at most 1, every exponent of a monomial T steps below the
+start m stays within max |e_m| + T, and no node-i expansion reaches above
+its restriction's top power plus 2 r_i, so the engine widens its fields
+or its window and restarts the run before a result could leave them.  A
+result is the root plus a signed packed delta, so products, equality and
+hashing are on one int, and a monomial is dominant exactly when it keeps
+the top bit of every field, a single ``&`` against the packed identity.
+Every result but the root has a larger witness total than its root, so
+both worklists are lists per total of packed monomials, and both runs walk
+them in one loop: pop the next total's level, settle or expand its
+members, and push their results at higher totals.  The process sorts each
+level by key when it reaches it, which pops in the same (total, key) order
+as a heap would.  The closure settles each level in push order, as the
+order within a level changes nothing it computes, and sorts only a level
+where it stops.  A key is joined from the engine's cached per-node pairs,
+and a ``Monomial`` built from it, only for a sort or the output: the
+process builds one per monomial with a chain, and the closure one per
+settle only for its character, so a cell's closures build none.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import defaultdict
 from dataclasses import dataclass, field
-from operator import add
 
 from . import sl2
 from .cartan import CartanData, DiagramError
@@ -157,12 +159,12 @@ def expand_Li(c: CartanData, m: Monomial, i) -> QCharacter:
 
 
 class _FieldsWidened(Exception):
-    """The engine widened its fields, since a result of the current run
-    could have outgrown them; the run starts over on the wider layout."""
+    """The engine widened its layout, since a result of the current run
+    could have outgrown it; the run starts over on the wider layout."""
 
 
 def _rerun_when_widened(run, *args):
-    """``run(*args)``, started over each time the engine widens its fields.
+    """``run(*args)``, started over each time the engine widens its layout.
     A run is deterministic, so its last attempt is the run that a wide
     enough layout would have made from the start."""
     while True:
@@ -172,33 +174,58 @@ def _rerun_when_widened(run, *args):
             pass
 
 
+@functools.cache
+def _spread(n, rmax):
+    """The window widths modulo 61 at which fields of any two of n slots
+    lie more than a margin of fields off a multiple of 61 apart (see
+    ``_Expander._new_layout``): 2 rmax + 3, or the largest margin below it
+    that some width meets."""
+    for margin in range(2 * rmax + 3, -1, -1):
+        spread = frozenset(w for w in range(61) if all(
+            margin < d * w % 61 < 61 - margin for d in range(1, n)))
+        if spread:
+            return spread
+    return frozenset(range(61))
+
+
 class _Expander:
     """The one place where the closure and the process expand a root at a
     node, once per content, and the owner of the packed layout they run on.
 
-    Layout.  Inside a run a monomial is a tuple with one int per node, in
-    ``c.nodes`` order.  Node j's int is the sum of e << bits * (p - base)
-    over its exponents e at powers p: each power from ``base`` up has a
-    field of ``bits`` bits that holds its exponent as a signed digit,
-    |e| < 2 ** (bits - 1).  Digits in that range make the encoding unique,
-    so a product is the elementwise sum of the tuples, equality and hashing
-    are on ints, and node i's restriction is element i.  Two facts keep
-    the layout exact:
+    Layout.  Inside a run a monomial is one non-negative int.  Slot s, the
+    node ``c.nodes[s]``, owns the ``window`` fields from s * window up, of
+    ``bits`` bits each, one per power from ``base`` up, and a field holds
+    e + 2 ** (bits - 1) for its exponent e (excess encoding).  While every
+    |e| < 2 ** (bits - 1), each field lies in [0, 2 ** bits), so the
+    encoding is unique and no sum of exponents carries into a neighbour
+    field: a product is the root plus a signed packed delta, equality and
+    hashing are on one int, ``zero`` (the identity, which sets the top bit
+    of every field) makes a monomial dominant exactly when
+    ``x & zero == zero``, and node s's restriction is
+    ``(x >> s * window * bits) & mask``.  Three facts keep the layout exact:
 
     * an expansion never reaches below the lowest power of its root's
       node-i restriction, so a run stays at or above its start's lowest
       power.  That power is a valid base, and the engine of an empirical
       cell takes the string's lowest power, below which no enumerated
       entry lies;
+    * nor above the top power of that restriction plus 2 r_i;
     * one A^{-1} factor moves any field by at most 1, so a monomial at
       witness total T below the start m has every |e| <= max |e_m| + T.
 
     ``start`` lowers the base and doubles ``bits`` until m fits with as
-    much room again; ``templates`` refuses an expansion whose results could
-    pass the field limit, doubles ``bits`` and raises ``_FieldsWidened``,
-    and the run starts over.  So a field never wraps, and a template power
-    below the base raises (a negative shift).  A new layout drops the
-    packed caches and the key pairs: its node ints mean other exponents.
+    much room again; if m's powers do not fit the window, it lays out a
+    window of m's powers and ``_reach`` more.  For a finite type, every
+    power of the character of L(m) lies within r^vee h^vee of m's top
+    power, h the Coxeter number, and 4 n r_max bounds that on n nodes; on
+    other diagrams it is a sizing hint only.  ``templates`` refuses an
+    expansion whose results could pass the field limit, and ``_build`` a
+    restriction whose templates could pass the window: each doubles its
+    limit and raises ``_FieldsWidened``, and the run starts over.  So a
+    field never wraps, no delta spills into the next slot, and a template
+    power below the base raises (a negative shift).  A new layout drops the
+    packed caches and the key pairs (``_new_layout``), and keeps the
+    window at a width where root steps change the int hash.
 
     Templates.  ``expand_Li_steps`` reads a root only through the
     exponents of its node-i restriction and r_i, and shifting that
@@ -211,64 +238,68 @@ class _Expander:
     tables of ``expand_Li_steps``, with the largest total.  A table names
     powers and counts only.  Each packed restriction with the content, at
     any node and in any layout, packs those tables raised by its base, once,
-    as the sum of count times its own node's packed A_{i,q^p}^{-1}
-    (``_pack_tables``), so a power below the layout's base raises.  r_i
-    stays in the content, as nodes with different r_i do meet one content
-    (in B, C, F and G) and step it by different powers.
-    It keeps its templates ``(packed delta, multiplicity, total)``, so a
-    result is ``tuple(map(add, root, packed delta))``.  A restriction with
-    a negative exponent gets None.
+    each delta as one product of its own node's packed row of A^{-1} with
+    the table's packed counts (``_pack_tables``), so a power below the
+    layout's base raises.  r_i stays in the content, as nodes with
+    different r_i do meet one content (in B, C, F and G) and step it by
+    different powers.  It keeps its templates ``(packed delta,
+    multiplicity, total)``, so a result is ``root + packed delta``.  A
+    restriction with a negative exponent gets None.
 
-    Keys.  Few distinct ints occur at a slot, so each int's key pairs and a
-    no-negative-exponent flag are cached per slot, both read off in the one
-    pass that splits the int into its fields (``_node``).  ``read`` joins
-    the pairs in ascending node order (not ``c.nodes`` order), which is the
-    canonical key, and ``dominant`` reads the flags alone.  The caches live
-    as long as the engine, so the closures and certifying processes of a
-    cell share them.
-    A node int has the sign of its exponent at its highest power: the lower
-    fields add up to less than one unit of the top field in size, as each
-    |e| < 2 ** (bits - 1).  So a negative node int proves a negative
-    exponent, and a run reads a new result's dominance only when
-    ``min(x) >= 0``.
+    Keys.  Few distinct restrictions occur at a slot, so each one's key
+    pairs are cached per slot (``_node``).  ``read`` joins the pairs in
+    ascending node order (not ``c.nodes`` order), which is the canonical
+    key.  The caches live as long as the engine, so the closures and
+    certifying processes of a cell share them.
     """
 
-    __slots__ = ("c", "_slot", "base", "bits", "_room", "_contents",
-                 "_packed", "_seen", "_by_node")
+    __slots__ = ("c", "_slot", "base", "bits", "window", "zero", "_mask",
+                 "_stride", "_reach", "_spread", "_room", "_contents", "_packed",
+                 "_seen", "_by_node")
 
     def __init__(self, c: CartanData, base=None):
         self.c = c
         self._slot = {j: s for s, j in enumerate(c.nodes)}
         self.base = base  # lowest power of the layout, None until one is seen
-        self.bits = 16
+        self.bits = 8
+        self.window = 0  # powers per slot, 0 until the first start
+        rmax = max(map(c.r, c.nodes))
+        # h < 4n on every finite type, and r^vee <= max r_j
+        self._reach = 4 * len(c.nodes) * rmax
+        self._spread = _spread(len(c.nodes), rmax)
         self._room = 0  # largest witness total the current run may reach
         # content (r_i, (power - base, exponent) pairs) -> (largest total,
         # step tables) of the content
         self._contents = {}
         # per slot, packed restriction -> (largest total, packed templates)
         self._packed = [{} for _ in c.nodes]
-        # per slot, node int -> (its key pairs, no negative exponent)
+        # per slot, packed restriction -> its key pairs
         self._seen = [{} for _ in c.nodes]
         self._by_node = [(s, self._seen[s]) for _, s in sorted(self._slot.items())]
 
-    def start(self, m: Monomial) -> tuple:
+    def start(self, m: Monomial) -> int:
         """``m`` packed for a run from it.  The base is lowered to m's
         lowest power, and the fields are widened until they hold twice m's
         largest |e|, so that the run has room for witness totals at least
-        up to that exponent."""
-        base, top = self.base, 0
+        up to that exponent.  A window that does not hold m's powers is
+        laid out anew with ``_reach`` more."""
+        base, top, high = self.base, 0, None
         for (_, p), e in m.items():
             if base is None or p < base:
                 base = p
+            if high is None or p > high:
+                high = p
             if abs(e) > top:
                 top = abs(e)
         if base is None:
             base = 0  # the identity on an engine that has seen no power
-        if base != self.base or (2 * top) >> (self.bits - 1):
+        span = 0 if high is None else high - base + 1
+        if (base != self.base or (2 * top) >> (self.bits - 1)
+                or span > self.window or not self.window):
             self.base = base
             while (2 * top) >> (self.bits - 1):
                 self.bits *= 2
-            self._new_layout()
+            self._new_layout(max(span + self._reach, self.window))
         self._room = (1 << (self.bits - 1)) - 1 - top
         return self._pack(m.items())
 
@@ -276,7 +307,7 @@ class _Expander:
         """None if the packed root ``x``, at witness total ``total`` in the
         current run, is not dominant at the node of slot ``s``; else its
         templates, in the order of ``expand_Li_steps``."""
-        v = x[s]
+        v = (x >> self._stride * s) & self._mask
         cache = self._packed[s]
         entry = cache.get(v)
         if entry is None:
@@ -284,56 +315,55 @@ class _Expander:
         tmax, tpl = entry
         if total + tmax > self._room:
             self.bits *= 2
-            self._new_layout()
+            self._new_layout(self.window)
             raise _FieldsWidened
         return tpl
 
     def read(self, x):
         """The canonical key of the packed ``x``, joined from the cached
-        pairs of its node ints."""
+        pairs of its node restrictions."""
         key = ()
+        stride, mask = self._stride, self._mask
         for s, seen in self._by_node:
-            key += (seen.get(x[s]) or self._node(s, x[s]))[0]
+            v = (x >> stride * s) & mask
+            pairs = seen.get(v)
+            key += self._node(s, v) if pairs is None else pairs
         return key
 
-    def dominant(self, x):
-        """Whether the packed ``x`` has no negative exponent, read off the
-        cached flags of its node ints with no key joined."""
-        for s, seen in enumerate(self._seen):
-            if not (seen.get(x[s]) or self._node(s, x[s]))[1]:
-                return False
-        return True
-
     def _node(self, s, v):
-        """The node int ``v`` at slot ``s`` as its ((node, power), exponent)
-        pairs in ascending power, and whether none is negative; cached."""
-        entry = self._seen[s].get(v)
-        if entry is None:
+        """The packed restriction ``v`` at slot ``s`` as its ((node, power),
+        exponent) pairs in ascending power; cached.  ``v`` xor the slot's
+        identity holds each exponent as a ``bits``-bit two's complement
+        digit, so no field borrows from the next."""
+        pairs = self._seen[s].get(v)
+        if pairs is None:
             j, bits = self.c.nodes[s], self.bits
             full = 1 << bits
-            mask, top = full - 1, full >> 1
-            pairs, dominant, p, w = [], True, self.base, v
+            digit, half = full - 1, full >> 1
+            out, p, w = [], self.base, v ^ (self.zero & self._mask)
             while w:
-                e = w & mask
-                w >>= bits
-                if e >= top:  # a negative digit borrowed one from the next
-                    e -= full
-                    w += 1
-                    dominant = False
+                e = w & digit
                 if e:
-                    pairs.append(((j, p), e))
+                    out.append(((j, p), e - full if e >= half else e))
+                w >>= bits
                 p += 1
-            entry = self._seen[s][v] = (tuple(pairs), dominant)
-        return entry
+            pairs = self._seen[s][v] = tuple(out)
+        return pairs
 
     def _build(self, s, v):
         """(largest total, templates) of the packed restriction ``v`` at
-        slot ``s``, or (0, None) if it has a negative exponent."""
-        restr, dominant = self._node(s, v)
-        if not dominant:
+        slot ``s``, or (0, None) if it has a negative exponent.  It widens
+        the window and raises ``_FieldsWidened`` if a template could reach
+        past it."""
+        zero = self.zero & self._mask
+        if v & zero != zero:
             return 0, None
+        restr = self._node(s, v)
         i = self.c.nodes[s]
         ri = self.c.r(i)
+        if restr and restr[-1][0][1] + 2 * ri >= self.base + self.window:
+            self._new_layout(2 * self.window)
+            raise _FieldsWidened
         base = ri * (restr[0][0][1] // ri) if restr else 0
         pairs = tuple((p - base, e) for (_, p), e in restr)
         known = self._contents.get((ri, pairs))
@@ -348,39 +378,57 @@ class _Expander:
     def _pack_tables(self, i, tables, shift):
         """Templates ``(packed delta, multiplicity, total)`` of node-i step
         tables, each power raised by ``shift``.  A delta is the sum of
-        count times the packed A_{i,q^p}^{-1} over its table, which per
-        slot is the packed row of A_{i,q^{r_i}}^{-1} (lowest power 0)
-        times sum(count << bits * (p + shift - r_i - base)).  That product is
-        ``_pack`` of the delta, as multiplication distributes over the
-        shifted terms; whether its digits fit their fields is the room
-        check's concern in ``templates``.  A power below the base raises
-        (a negative shift)."""
+        count times the packed A_{i,q^p}^{-1} over its table: the packed
+        row of A_{i,q^{r_i}}^{-1} (lowest power 0) across all slots, times
+        sum(count << bits * (p + shift - r_i - base)).  That product is the
+        signed packed delta, as multiplication distributes over the shifted
+        terms; whether its digits fit their fields is the room check's
+        concern in ``templates``, and whether its powers fit the window the
+        window check's in ``_build``.  A power below the base raises (a
+        negative shift)."""
         bits, ri = self.bits, self.c.r(i)
-        row = {}
+        row = 0
         for (j, d), ae in self.c.a_row(i):
-            s = self._slot[j]
-            row[s] = row.get(s, 0) - (ae << bits * (d + ri))
+            row -= ae << self._stride * self._slot[j] + bits * (d + ri)
         off = shift - ri - self.base
         out = []
         for table, t, total in tables:
             steps = 0
             for p, x in table:
                 steps += x << bits * (p + off)
-            d = [0] * len(self._slot)
-            for s, w in row.items():
-                d[s] = w * steps
-            out.append((tuple(d), t, total))
+            out.append((row * steps, t, total))
         return out
 
-    def _pack(self, items) -> tuple:
+    def _pack(self, items) -> int:
         """((node, power), exponent) pairs packed."""
-        x = [0] * len(self._slot)
-        bits, base, slot = self.bits, self.base, self._slot
+        x = self.zero
+        bits, base, stride, slot = self.bits, self.base, self._stride, self._slot
         for (j, p), e in items:
-            x[slot[j]] += e << bits * (p - base)
-        return tuple(x)
+            x += e << stride * slot[j] + bits * (p - base)
+        return x
 
-    def _new_layout(self):
+    def _new_layout(self, window):
+        """A layout of at least ``window`` powers per slot, on ``bits``-bit
+        fields and the current base.  Python hashes an int modulo
+        2 ** 61 - 1, so fields a multiple of 61 fields apart add to a hash
+        with one weight, and a root step that moves two such fields by
+        opposite amounts would leave it as it was: at a width of 60 on A2~,
+        every root step does, and the results of ``qchar --g A2~ "1_0 2_47"``
+        share a hash seven at a time on average, up to 214 in one.  The
+        window rounds up to a width in ``_spread``, at which no fields of
+        two slots whose powers differ by at most the margin lie so.  The
+        margin is 2 r_max + 3 on up to seven nodes when r_max <= 2 and on
+        up to five when r_max = 3, and at least the 2 r_max - 1 powers that
+        one root step's fields span on up to twelve nodes when r_max <= 2.
+        A new layout drops the packed caches and the key pairs: their ints
+        mean other exponents."""
+        while window % 61 not in self._spread:
+            window += 1
+        self.window, bits = window, self.bits
+        self._stride = stride = window * bits
+        self._mask = (1 << stride) - 1
+        self.zero = (((1 << stride * len(self._slot)) - 1) // ((1 << bits) - 1)
+                     << (bits - 1))
         for cache in self._packed + self._seen:
             cache.clear()
 
@@ -490,10 +538,11 @@ def generate_process(c: CartanData, m: Monomial,
 
 def _generate(c, m, budget, stop_on_dominant, ex):
     """The run of ``generate_process`` on the packed layout of ``ex``; it
-    raises ``_FieldsWidened`` when ``ex`` widened its fields mid-run."""
+    raises ``_FieldsWidened`` when ``ex`` widened its layout mid-run."""
     x0 = ex.start(m)
+    zero = ex.zero
     links = {x0: None}  # generated monomial -> (packed root, node) of its step
-    canonical = {x0: x0}  # one tuple per monomial, shared by links and covered
+    canonical = {x0: x0}  # one int per monomial, shared by links and covered
     covered = [set() for _ in c.nodes]
     dominant = []  # generated dominant monomials but the start, when stopping
     read = ex.read
@@ -512,7 +561,7 @@ def _generate(c, m, budget, stop_on_dominant, ex):
                 if tpl is None:
                     continue
                 results = [canonical.setdefault(nu, nu) for nu in
-                           (tuple(map(add, x, d)) for d, _, _ in tpl)]
+                           (x + d for d, _, _ in tpl)]
                 blocked = x in covered[s]
                 covered[s].update(results)
                 if blocked:
@@ -529,8 +578,7 @@ def _generate(c, m, budget, stop_on_dominant, ex):
                         continue
                     links[nu] = link
                     levels[total + n].append(nu)
-                    # a negative node int has a negative top exponent
-                    if stop_on_dominant and min(nu) >= 0 and ex.dominant(nu):
+                    if stop_on_dominant and nu & zero == zero:
                         dominant.append(nu)
                 if dominant:
                     break
@@ -643,14 +691,14 @@ def _fm_closure(c, m, budget, order_within_level, ex, qchar=True):
     """The closure of ``fm_algorithm``: its consistent report, with its
     character if ``qchar``, or the (forced dominant or None, steps,
     diagnostic) of an inconclusive exit.  It runs on the packed layout of
-    ``ex`` and raises ``_FieldsWidened`` when ``ex`` widened its fields
+    ``ex`` and raises ``_FieldsWidened`` when ``ex`` widened its layout
     mid-run.  A result is pushed packed with its state row, which is final
     when its level is reached, as every root above it has settled.  A
     level settles in push order; its tie order is read only at a level
     where the run stops, and each stop shows without it: the budget ends
     in the level (which keeps its first members in tie order), a member is
     left unexplained, or a result first created in the level is dominant,
-    read off the per-slot flags.  ``_first_stop`` then finds the first
+    read off the packed identity's mask.  ``_first_stop`` then finds the first
     stop in tie order.  So a consistent run reads no key but those of the
     ``Monomial``s it builds for ``qchar``, one per settle."""
     x0 = ex.start(m)
@@ -659,7 +707,7 @@ def _fm_closure(c, m, budget, order_within_level, ex, qchar=True):
     state = {x0: [1] + [0] * (width - 1)}
     terms = {}
     steps = 0
-    read, dominant = ex.read, ex.dominant
+    read, zero = ex.read, ex.zero
 
     def tie(pushed):
         key = read(pushed[0])
@@ -694,14 +742,13 @@ def _fm_closure(c, m, budget, order_within_level, ex, qchar=True):
                     unexplained = True
                     continue
                 for d, t, n in tpl:
-                    nu = tuple(map(add, x, d))
+                    nu = x + d
                     r = state.get(nu)
                     if r is None:
                         r = state[nu] = [0] * width
                         r[0] = r[s + 1] = coeff * t
                         levels[total + n].append((nu, r))
-                        # a negative node int has a negative top exponent
-                        if min(nu) >= 0 and dominant(nu):
+                        if nu & zero == zero:
                             found.add(nu)
                         continue
                     f = r[s + 1] = r[s + 1] + coeff * t
@@ -734,7 +781,7 @@ def _first_stop(c, ex, level, total, steps, found):
                 mu = Monomial._from_key(ex.read(x))
                 return None, steps, (f"node-{i} class leaves non-dominant "
                                      f"{format_monomial(mu)} unexplained")
-            new = [nu for d, _, _ in tpl if (nu := tuple(map(add, x, d))) in found]
+            new = [nu for d, _, _ in tpl if (nu := x + d) in found]
             if new:
                 forced = Monomial._from_key(min(ex.read(nu) for nu in new))
                 return forced, steps, (

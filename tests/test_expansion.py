@@ -1,7 +1,6 @@
 import functools
 import heapq
 import random
-from operator import add
 
 import pytest
 from _characters import qchar_is_thin
@@ -703,12 +702,12 @@ def test_expander_matches_expand_li_steps(series, rank, affine):
         # packed results are the packed results of expand_Li_steps, in order,
         # and each reads back as its product's key and dominance
         got = [(_result(c, m, i, table), t, total) for table, t, total in want[1:]]
-        assert [(tuple(map(add, x, d)), t, total) for d, t, total in tpl] == \
+        assert [(x + d, t, total) for d, t, total in tpl] == \
             [(ex._pack(mu.items()), t, total) for mu, t, total in got], \
             (format_monomial(m), i)
-        results = [tuple(map(add, x, d)) for d, _, _ in tpl]
+        results = [x + d for d, _, _ in tpl]
         assert [ex.read(nu) for nu in results] == [mu.key for mu, _, _ in got]
-        assert [ex.dominant(nu) for nu in results] == \
+        assert [_dominant(ex, nu) for nu in results] == \
             [mu.is_dominant() for mu, _, _ in got]
         char = expand_Li(c, m, i)
         assert {mu: t for mu, t, _ in got} == {
@@ -800,8 +799,8 @@ def test_nodes_that_meet_one_content_share_its_expansion(monkeypatch, run):
 
     def counted(self, s, v):
         i = self.c.nodes[s]
-        restr, dominant = self._node(s, v)
-        if dominant:
+        restr = self._node(s, v)
+        if all(e > 0 for _, e in restr):
             met.add((i, _content(self.c, i, {p: e for (_, p), e in restr})))
         return build(self, s, v)
 
@@ -832,8 +831,9 @@ LAYOUT_DIAGRAMS = [("A", 3, False), ("B", 3, False), ("C", 3, False),
 def test_expansion_stays_above_its_root_and_moves_fields_by_its_total(
         series, rank, affine):
     # the facts under the packed layout: no delta reaches below the lowest
-    # power of its root's node-i restriction, and no delta entry exceeds
-    # its total in size (one A^{-1} factor moves any field by at most 1)
+    # power of its root's node-i restriction or above its top power plus
+    # 2 r_i, and no delta entry exceeds its total in size (one A^{-1}
+    # factor moves any field by at most 1)
     c = build_diagram(series, rank, affine=affine)
     rng = random.Random(f"layout {c.name}")
     deltas = 0
@@ -841,9 +841,11 @@ def test_expansion_stays_above_its_root_and_moves_fields_by_its_total(
         i = rng.choice(c.nodes)
         m = _random_i_dominant(rng, c, i)
         low = min(m.node_powers(i), default=None)
+        high = max(m.node_powers(i), default=None)
         for table, _, total in expand_Li_steps(c, m, i)[1:]:
             delta = _result(c, Monomial(), i, table)
             assert min(p for (_, p), _ in delta.items()) >= low
+            assert max(p for (_, p), _ in delta.items()) <= high + 2 * c.r(i)
             assert max(abs(e) for _, e in delta.items()) <= total
             deltas += 1
     assert deltas > 300
@@ -867,16 +869,16 @@ def test_engine_reads_each_result_key_as_the_product(c):
     for m in starts:
         x = ex.start(m)
         assert ex.read(x) == m.key
-        assert ex.dominant(x) == m.is_dominant()
+        assert _dominant(ex, x) == m.is_dominant()
         for s, i in enumerate(c.nodes):
             tpl = ex.templates(x, s, 0)
             if tpl is None:
                 continue
             for (d, _, _), (table, _, _) in zip(tpl, expand_Li_steps(c, m, i)[1:]):
                 mu = _result(c, m, i, table)
-                nu = tuple(map(add, x, d))
-                # the flags alone say the same, with no key joined
-                assert ex.dominant(nu) == mu.is_dominant()
+                nu = x + d
+                # the mask alone says the same, with no key joined
+                assert _dominant(ex, nu) == mu.is_dominant()
                 assert ex.read(nu) == mu.key, (format_monomial(m), i)
                 seen[mu.is_dominant()] += 1
     assert all(seen.values()), seen
@@ -885,13 +887,16 @@ def test_engine_reads_each_result_key_as_the_product(c):
 @pytest.mark.parametrize("c", [build_diagram(*d) for d in LAYOUT_DIAGRAMS],
                          ids=lambda c: c.name)
 def test_a_packed_node_int_has_the_sign_of_its_top_exponent(c):
-    # the closure and the process read a new result's dominance only when
-    # no node int is negative.  Negative exponents below positive ones make
-    # fields borrow, and the int must still take the sign of its exponent
-    # at the highest power, so a dominant monomial has no negative int
-    rng = random.Random(f"sign {c.name}")
+    # the closure and the process read a new result's dominance off the
+    # top bit of each field alone (the name is the signed-digit layout's,
+    # whose node ints took the sign of their top exponent).  A negative
+    # exponent below a positive one would borrow from the next field in
+    # that layout; here each must clear its own field's top bit, at any
+    # power of any slot, also in a product built as a sum of packed
+    # monomials
+    rng = random.Random(f"mask {c.name}")
     ex = _Expander(c)
-    seen = {"borrow": 0, "negative": 0, "dominant": 0}
+    seen = {"borrow": 0, "negative top": 0, "dominant": 0, "product": 0}
     for _ in range(300):
         e = {}
         for j in c.nodes:
@@ -903,18 +908,25 @@ def test_a_packed_node_int_has_the_sign_of_its_top_exponent(c):
                                      else (-2, -1))
         m = Monomial(e)
         x = ex.start(m)
-        assert ex.read(x) == m.key
-        assert ex.dominant(x) == m.is_dominant()
-        if m.is_dominant():
-            assert min(x) >= 0
-            seen["dominant"] += 1
-        for j, v in zip(c.nodes, x):
+        assert _reads(ex, x, m) and ex.read(x) == m.key
+        assert _dominant(ex, x) == m.is_dominant(), format_monomial(m)
+        zero = _restriction(ex, ex.zero, 0)  # the identity of one slot
+        for s, j in enumerate(c.nodes):
             powers = m.node_powers(j)
-            top = powers[max(powers)] if powers else 0
-            sign = (v > 0) - (v < 0)
-            assert sign == (top > 0) - (top < 0), (format_monomial(m), j)
-            seen["negative"] += top < 0
-            seen["borrow"] += top > 0 and min(powers.values()) < 0
+            v = _restriction(ex, x, s)
+            assert (v & zero == zero) == all(t > 0 for t in powers.values())
+            seen["negative top"] += bool(powers) and powers[max(powers)] < 0
+            seen["borrow"] += any(t < 0 < powers.get(p + 1, 0)
+                                  for p, t in powers.items())
+        seen["dominant"] += m.is_dominant()
+        # a product is the sum less the identity; its sign pattern is its own
+        other = Monomial.y(rng.choice(c.nodes),
+                           rng.randint(ex.base, ex.base + ex.window - 1),
+                           rng.choice((-1, 1)))
+        y = x + ex._pack(other.items()) - ex.zero
+        assert _dominant(ex, y) == (m * other).is_dominant()
+        assert ex.read(y) == (m * other).key
+        seen["product"] += (m * other).is_dominant() != m.is_dominant()
     assert all(seen.values()), seen
 
 
@@ -938,50 +950,106 @@ def test_enumerated_entries_lie_above_the_string():
 def test_identity_start_runs(base):
     # on a cell engine, and on a fresh engine that has seen no power yet
     ex = _Expander(A3, base=base)
-    assert ex.start(Monomial()) == (0, 0, 0)
+    assert ex.start(Monomial()) == ex.zero
+    assert _reads(ex, ex.zero, Monomial())
     rep = fm_algorithm(A3, Monomial(), _expander=ex)
     assert rep.verdict == SPECIAL_FM_CONSISTENT
     assert rep.qchar.terms == {Monomial(): 1}
     assert generate_process(A3, Monomial(), _expander=ex).chains == {Monomial(): ()}
 
 
+def _restriction(ex, x, s):
+    """Node ``c.nodes[s]``'s packed restriction of the packed ``x``."""
+    width = ex.window * ex.bits
+    return (x >> s * width) & ((1 << width) - 1)
+
+
+def _dominant(ex, x):
+    """Whether the packed ``x`` is dominant, by the mask the runs test."""
+    return x & ex.zero == ex.zero
+
+
 def _reads(ex, x, m):
-    """True iff each node int of the packed ``x``, read through the decoder
-    that ``_Expander._build`` uses, is m's restriction to that node."""
-    return ([[(p, e) for (_, p), e in ex._node(s, v)[0]] for s, v in enumerate(x)]
+    """True iff each node restriction of the packed ``x``, read through the
+    decoder that ``_Expander._build`` uses, is m's restriction to that
+    node, and ``x`` has no bit above its last slot."""
+    n = len(ex.c.nodes)
+    return (x >> n * ex.window * ex.bits == 0
+            and [[(p, e) for (_, p), e in ex._node(s, _restriction(ex, x, s))]
+                 for s in range(n)]
             == [list(m.node_powers(j).items()) for j in ex.c.nodes])
 
 
 def test_packed_layout_round_trips_at_the_field_edges():
     ex = _Expander(D4)
-    assert ex.start(Monomial()) == (0, 0, 0, 0)
-    assert _reads(ex, (0, 0, 0, 0), Monomial())
+    assert ex.start(Monomial()) == ex.zero
+    assert _reads(ex, ex.zero, Monomial())
     m = parse_monomial("1_-3 2_1^-1")
     x = ex.start(m)
-    assert ex.base == -3 and x[0] == 1  # the base power is field 0
+    half = 1 << (ex.bits - 1)  # a field holds e + half, for |e| < half
+    assert ex.base == -3 and x & (2 * half - 1) == half + 1  # field 0 is power -3
     assert _reads(ex, x, m)
-    limit = 1 << (ex.bits - 1)  # a field holds |e| < limit
-    # a start fits while 2|e| < limit: room for |e| root steps below it
-    fit = (limit - 1) // 2
+    # a start fits while 2|e| < half: room for |e| root steps below it
+    fit = (half - 1) // 2
     for e in (fit, -fit):
         edge = Monomial({(1, -3): e, (2, -2): -e, (3, 997): e, (4, 0): 1})
         x = ex.start(edge)
-        assert ex.bits == 16 and _reads(ex, x, edge)
-        # a product is the elementwise sum while every digit fits
+        assert ex.bits == 8 and _reads(ex, x, edge)
+        # the window holds its powers and the reach above them
+        assert ex.window >= 997 + 3 + 1 + ex._reach
+        # a product is the sum less the identity while every field fits
         other = parse_monomial("1_-2 4_0^-1")
         y = ex.start(other)
-        assert ex.bits == 16
-        assert _reads(ex, tuple(map(add, x, y)), edge * other)
+        assert ex.bits == 8
+        assert _reads(ex, x + y - ex.zero, edge * other)
     # one past that widens the fields; they never wrap
     for e in (fit + 1, -fit - 1):
         wide = _Expander(D4)
         edge = Monomial({(2, 5): e, (2, 6): -1, (3, 5): 1})
         x = wide.start(edge)
-        assert wide.bits == 32 and _reads(wide, x, edge)
+        assert wide.bits == 16 and _reads(wide, x, edge)
     big = Monomial.y(1, 0, 40_000)
     a1 = _Expander(A1)
     x = a1.start(big)  # room for 40,000 root steps below it as well
     assert a1.bits == 32 and _reads(a1, x, big)
+    # the top power of the window, at the last slot, at both edges of the
+    # field: nothing spills past the slot or the int
+    ex = _Expander(D4, base=0)
+    ex.start(Monomial.y(1, 0, 1))
+    top = ex.window - 1
+    for e in (fit, -fit):
+        edge = Monomial({(1, 0): 1, (4, top): e, (4, top - 1): -e, (3, top): e})
+        x = ex.start(edge)
+        assert ex.window == top + 1 and _reads(ex, x, edge)
+
+
+@pytest.mark.parametrize("spec", ["A2~", "D4~", "D4", "E6", "E8", "B3", "F4", "G2"])
+def test_windows_keep_every_root_step_visible_to_the_int_hash(spec):
+    # Python hashes an int modulo 2^61 - 1, where bits 61 apart weigh the
+    # same, so a root step that moved two fields a multiple of 61 fields
+    # apart by opposite amounts would keep the hash: at a width of 60 on
+    # A2~ every root step does, and the dicts of a run degrade to lists.
+    # Every window the engine takes keeps the fields of two slots within
+    # the margin of one power difference off such gaps, so every root step
+    # from the identity changes its hash, and no two root steps at powers
+    # up to 2 r_max apart share one
+    c = parse_diagram(spec)
+    ex = _Expander(c, base=0)
+    rmax = max(map(c.r, c.nodes))
+    for wanted in range(1, 130):
+        ex._new_layout(wanted)
+        assert wanted <= ex.window < wanted + 61
+        assert all((d * ex.window + gap) % 61 for d in range(1, len(c.nodes))
+                   for gap in range(-2 * rmax, 2 * rmax + 1))
+        steps = {}  # hash -> the powers of the root steps that have it
+        for i in c.nodes:
+            row = ex._pack_tables(i, [(((c.r(i), 1),), 1, 1)], 0)[0][0]
+            for p in range(ex.window - 2 * c.r(i)):
+                x = ex.zero + (row << ex.bits * p)
+                steps.setdefault(hash(x), []).append(p)
+        assert hash(ex.zero) not in steps
+        assert all(max(ps) - min(ps) > 2 * rmax
+                   for ps in steps.values() if len(ps) > 1)
 
 
 def test_runs_start_over_on_wider_fields():
@@ -1013,6 +1081,58 @@ def test_runs_start_over_on_wider_fields():
     assert rep == fm_algorithm(A3, m)
 
 
+@pytest.mark.parametrize("spec, start, fm_steps, process_steps", [
+    ("D4", "2_-2 2_0 2_2", DEFAULT_FM_STEPS, 400),  # consistent, with character
+    ("G2", "1_0 1_1 2_3", DEFAULT_FM_STEPS, 400),
+    ("A3", "1_1 3_1 2_4", DEFAULT_FM_STEPS, 400),  # forced, then certified
+    ("A3", "1_1 3_1 2_4", 1, 400),  # capped, then certified
+    ("A2~", "1_0", 1, 3000),  # capped, and no certificate in budget
+])
+def test_runs_that_cross_a_window_growth_match_a_wide_engine(
+        monkeypatch, spec, start, fm_steps, process_steps):
+    # a window that holds the start and its first expansions only grows
+    # mid-run, in a closure or in its certifying process; the run starts
+    # over, and its report, character and chain are those of an engine
+    # whose window held the whole run from the start
+    c = parse_diagram(spec)
+    m = parse_monomial(start)
+    events = []  # each run started, and the total of each widening
+
+    def started(name, run):
+        def wrapped(*args):
+            events.append(name)
+            return run(*args)
+        return wrapped
+
+    for name in ("_fm_closure", "_generate"):
+        monkeypatch.setattr(expansion, name, started(name, getattr(expansion, name)))
+    templates = _Expander.templates
+
+    def tracked(self, x, s, total):
+        try:
+            return templates(self, x, s, total)
+        except expansion._FieldsWidened:
+            events.append(total)
+            raise
+
+    monkeypatch.setattr(_Expander, "templates", tracked)
+    narrow = _Expander(c)
+    narrow._reach = 2 * max(map(c.r, c.nodes))
+    got = fm_algorithm(c, m, fm_steps, process_steps, _expander=narrow)
+    crossed = [e for e in events if not isinstance(e, str)]
+    assert crossed and min(crossed) > 0 and narrow.bits == 8
+    if fm_steps < DEFAULT_FM_STEPS:
+        # the capped closure fits; its certifying process widens
+        assert events[events.index(crossed[0]) - 1] == "_generate"
+    wide = _Expander(c)
+    wide._reach = 200
+    wide.start(m)
+    window = wide.window
+    del events[:]
+    assert fm_algorithm(c, m, fm_steps, process_steps, _expander=wide) == got
+    assert wide.window == window and all(isinstance(e, str) for e in events)
+
+
 @pytest.mark.parametrize("series,rank", [("B", 3), ("C", 3), ("G", 2)])
 def test_shape_templates_pack_across_restrictions_and_layouts(
         series, rank, monkeypatch):
@@ -1035,6 +1155,7 @@ def test_shape_templates_pack_across_restrictions_and_layouts(
 
     monkeypatch.setattr(_Expander, "_pack_tables", counted)
     ex = _Expander(c, base=-40)
+    ex.start(Monomial.y(j, 40))  # a layout that holds every meeting below
 
     def meet(offset):
         """The packed root of the shape at ``offset``."""
@@ -1045,7 +1166,7 @@ def test_shape_templates_pack_across_restrictions_and_layouts(
         tpl = ex.templates(x, s, 0)
         want = expand_Li_steps(c, m, i)[1:]
         assert len(tpl) == len(want) > 2 and len(packs) == 1
-        assert [(tuple(map(add, x, d)), t, total) for d, t, total in tpl] == \
+        assert [(x + d, t, total) for d, t, total in tpl] == \
             [(ex._pack(_result(c, m, i, table).items()), t, total)
              for table, t, total in want]
         return x
@@ -1054,7 +1175,7 @@ def test_shape_templates_pack_across_restrictions_and_layouts(
         meet(o)
     with pytest.raises(expansion._FieldsWidened):
         ex.templates(meet(6), s, ex._room)
-    assert ex.bits == 32
+    assert ex.bits == 16
     for o in (4, 7, 1):
         meet(o)
     assert len(calls) == 1  # one expansion served every restriction
@@ -1067,7 +1188,7 @@ def test_empirical_cell_packs_each_template_once(monkeypatch, closures):
     build = _Expander._build
 
     def counted(self, s, v):
-        builds.append((self.c.nodes[s], self._node(s, v)[0]))
+        builds.append((self.c.nodes[s], self._node(s, v)))
         return build(self, s, v)
 
     monkeypatch.setattr(_Expander, "_build", counted)
